@@ -236,15 +236,21 @@ PY
 fi
 
 if want simd-matrix; then
-  echo "== SIMD dispatch matrix (fig01 byte-identical across forced ISA levels) =="
+  echo "== SIMD dispatch matrix (fig01 + LU byte-identical across forced ISA levels) =="
   # The runtime-dispatched kernels (CCAPERF_SIMD, DESIGN.md §11) must be
   # bit-identical to the scalar reference: the same 2-rank fig01 run forced
   # to each ISA level, with the simulated counter backend pinned
-  # (CCAPERF_HWC=sim), must write byte-identical density CSVs. Levels the
+  # (CCAPERF_HWC=sim), must write byte-identical density CSVs, and the LU
+  # suite must reproduce its golden digests at each level. Levels the
   # host cannot run clamp down (ultimately to scalar), so on a non-AVX
   # runner the stage degrades to a scalar-vs-scalar determinism check
   # instead of failing.
   need_fig01
+  cmake --build "${BUILD_DIR}" -j "${JOBS}" --target test_lu_workload
+  for isa in scalar avx2 avx512 native; do
+    CCAPERF_SIMD="${isa}" "${BUILD_DIR}/tests/components/test_lu_workload" \
+      --gtest_brief=1
+  done
   for isa in scalar avx2 native; do
     (cd "${SMOKE_DIR}" && mkdir -p "simd-${isa}" && cd "simd-${isa}" &&
      CCAPERF_SIMD="${isa}" CCAPERF_HWC=sim \
@@ -359,9 +365,12 @@ fi
 if want asan; then
   echo "== address-sanitized measurement suites (${ASAN_DIR}) =="
   cmake -B "${ASAN_DIR}" -S . -DCCAPERF_SANITIZE=address >/dev/null
-  cmake --build "${ASAN_DIR}" -j "${JOBS}" --target test_tau test_core
+  # test_lu_workload: the LU kernels' row and column tile tails.
+  cmake --build "${ASAN_DIR}" -j "${JOBS}" \
+    --target test_tau test_core test_lu_workload
   "${ASAN_DIR}/tests/tau/test_tau"
   "${ASAN_DIR}/tests/core/test_core"
+  "${ASAN_DIR}/tests/components/test_lu_workload"
 fi
 
 echo "stages [${STAGES}]: OK"

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "components/lu_kernels.hpp"
 #include "support/error.hpp"
 
 namespace components {
@@ -55,6 +56,7 @@ LuResult LuFactorComponent::factor(int n, int block, std::uint64_t seed) {
   std::vector<int> perm(nn);  // perm[i] = original row now living at row i
   for (int i = 0; i < n; ++i) perm[static_cast<std::size_t>(i)] = i;
 
+  const detail::LuKernels& kern = detail::lu_kernels();
   LuResult r;
   // Blocked right-looking LU with partial pivoting, factoring in place:
   // L strictly below the diagonal (unit diagonal implied), U on and above.
@@ -92,38 +94,25 @@ LuResult LuFactorComponent::factor(int n, int block, std::uint64_t seed) {
       }
     }
     if (k1 >= n) break;
-    // Triangular solve: U12 = L11^{-1} * A12 (unit-lower, in place).
-    for (int k = k0; k < k1; ++k)
-      for (int i = k + 1; i < k1; ++i) {
-        const double lik = a[static_cast<std::size_t>(i) * nn + k];
-        for (int j = k1; j < n; ++j)
-          a[static_cast<std::size_t>(i) * nn + j] -=
-              lik * a[static_cast<std::size_t>(k) * nn + j];
-      }
+    // Triangular solve U12 = L11^{-1} * A12 (unit-lower, in place), row by
+    // row: row i subtracts the finished rows [k0, i) above it.
+    for (int i = k0 + 1; i < k1; ++i)
+      kern.update(a.data(), nn, i, i + 1, k0, i, k1, n);
     // Trailing update: A22 -= L21 * U12 (the GEMM that dominates HPL).
-    for (int i = k1; i < n; ++i)
-      for (int k = k0; k < k1; ++k) {
-        const double lik = a[static_cast<std::size_t>(i) * nn + k];
-        for (int j = k1; j < n; ++j)
-          a[static_cast<std::size_t>(i) * nn + j] -=
-              lik * a[static_cast<std::size_t>(k) * nn + j];
-      }
+    kern.update(a.data(), nn, k1, n, k0, k1, k1, n);
   }
 
   // Residual check on sampled rows: (PA)[i][:] vs (L*U)[i][:], with A
   // regenerated from the seed — catches wrong math, not just nondeterminism.
+  std::vector<double> lu(nn);
   const int stride = std::max(1, n / 8);
   for (int i = 0; i < n; i += stride) {
+    kern.residual_row(a.data(), nn, n, i, lu.data());
     for (int j = 0; j < n; ++j) {
-      double lu = 0.0;
-      const int kmax = std::min(i, j);
-      for (int k = 0; k <= kmax; ++k) {
-        const double lik = k == i ? 1.0 : a[static_cast<std::size_t>(i) * nn + k];
-        lu += lik * a[static_cast<std::size_t>(k) * nn + j];
-      }
       const double pa =
           lu_matrix_entry(seed, n, perm[static_cast<std::size_t>(i)], j);
-      r.residual_max = std::max(r.residual_max, std::fabs(pa - lu));
+      r.residual_max = std::max(r.residual_max,
+                                std::fabs(pa - lu[static_cast<std::size_t>(j)]));
     }
   }
 

@@ -1,24 +1,27 @@
 #pragma once
-// Runtime SIMD dispatch for the euler sweep kernels (DESIGN.md §11).
+// Runtime SIMD dispatch for the euler and LU kernels (DESIGN.md §11).
 //
-// The kernels keep one scalar implementation as the deterministic
-// reference; per-ISA translation units (kernels_avx2.cpp, kernels_avx512.cpp)
-// compile the same vector template at different widths. Which one runs is
-// decided once at startup from cpuid (`__builtin_cpu_supports`) intersected
-// with the `CCAPERF_SIMD` environment knob:
+// The euler sweep kernels keep one scalar implementation as the
+// deterministic reference; per-ISA translation units (kernels_avx2.cpp,
+// kernels_avx512.cpp) compile the same vector template at different
+// widths. The LU kernels (src/components/lu_kernels*.cpp) do the same,
+// with a baseline-ISA width standing in for `scalar`. Which one runs is
+// decided once at startup from cpuid (`__builtin_cpu_supports`)
+// intersected with the `CCAPERF_SIMD` environment knob:
 //
 //   CCAPERF_SIMD=native   highest ISA both compiled in and supported (default)
-//   CCAPERF_SIMD=scalar   force the scalar reference path
+//   CCAPERF_SIMD=scalar   force the scalar reference path (LU: baseline ISA)
 //   CCAPERF_SIMD=avx2     cap dispatch at AVX2
 //   CCAPERF_SIMD=avx512   cap dispatch at AVX-512
 //
-// Every ISA level produces bit-identical faces, fluxes and traced cache
-// counters (the vector lanes evaluate exactly the scalar expression DAG,
-// FMA contraction is disabled in the SIMD TUs, and transcendentals are
-// per-lane libm calls), so switching levels is a pure speed knob — the CI
-// dispatch-matrix stage asserts fig01 densities match byte-for-byte across
-// levels. `set_isa` exists for tests and benches; it clamps to what the
-// host supports.
+// Every ISA level produces bit-identical faces, fluxes, traced cache
+// counters and LU factors (the vector lanes evaluate exactly the scalar
+// expression DAG, FMA contraction is disabled in both libraries, and
+// transcendentals are per-lane libm calls), so switching levels is a pure
+// speed knob — the CI dispatch-matrix stage asserts fig01 densities match
+// byte-for-byte and the LU suite's golden digests at every level.
+// `set_isa` exists for tests and benches; it clamps to what the host
+// supports.
 
 #include <string_view>
 

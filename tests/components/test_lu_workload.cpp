@@ -1,17 +1,20 @@
 // components::LuFactorComponent — the HPL-style dense-LU session
 // workload: residual correctness against the regenerated matrix,
-// bitwise determinism, pivoting, and the lu_proxy monitoring records
-// the TelemetryHub's LU sessions produce.
+// bitwise determinism, golden outputs pinned across kernel rewrites and
+// ISA levels, pivoting, and the lu_proxy monitoring records the
+// TelemetryHub's LU sessions produce.
 
 #include "components/lu_workload.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "core/mastermind.hpp"
 #include "core/proxies.hpp"
 #include "core/tau_component.hpp"
+#include "euler/simd.hpp"
 
 namespace {
 
@@ -39,6 +42,76 @@ TEST(LuWorkload, DeterministicDigestPerSeed) {
   EXPECT_NE(a.digest, c.digest);
 }
 
+struct Golden {
+  int n;
+  int block;
+  std::uint64_t seed;
+  std::uint64_t digest;
+  std::uint64_t row_swaps;
+  double residual_max;
+};
+
+// Captured from the plain scalar triple loops the register-tiled kernels
+// replaced. The tenants benchmark shape (n=384, b=32), tile tails in rows
+// and columns (n=97, 130), a panel wider than the matrix (b = n+3), and
+// the degenerate n=1 and n=5. Bit-exact: the kernels keep every element's
+// operation order (DESIGN.md §11).
+constexpr Golden kGolden[] = {
+    {384, 32, 1, 0x5efbbabcd1fb6cf0ull, 378u, 0x1.fp-48},
+    {384, 32, 2, 0xf22e409994104175ull, 376u, 0x1p-47},
+    {1, 1, 1, 0xe1517139fe8f7b6aull, 0u, 0x0p+0},
+    {1, 1, 2, 0xd378f20e1ff5ec84ull, 0u, 0x0p+0},
+    {1, 7, 1, 0xe1517139fe8f7b6aull, 0u, 0x0p+0},
+    {1, 7, 2, 0xd378f20e1ff5ec84ull, 0u, 0x0p+0},
+    {1, 4, 1, 0xe1517139fe8f7b6aull, 0u, 0x0p+0},
+    {1, 4, 2, 0xd378f20e1ff5ec84ull, 0u, 0x0p+0},
+    {5, 1, 1, 0x12e4a94188a02a4full, 2u, 0x1p-52},
+    {5, 1, 2, 0x07444df5fd4d1798ull, 2u, 0x1p-52},
+    {5, 7, 1, 0x12e4a94188a02a4full, 2u, 0x1p-52},
+    {5, 7, 2, 0x07444df5fd4d1798ull, 2u, 0x1p-52},
+    {5, 8, 1, 0x12e4a94188a02a4full, 2u, 0x1p-52},
+    {5, 8, 2, 0x07444df5fd4d1798ull, 2u, 0x1p-52},
+    {97, 1, 1, 0x7e70627783c51868ull, 91u, 0x1.cp-49},
+    {97, 1, 2, 0xf5be0148466a7036ull, 89u, 0x1.2p-49},
+    {97, 7, 1, 0x7e70627783c51868ull, 91u, 0x1.cp-49},
+    {97, 7, 2, 0xf5be0148466a7036ull, 89u, 0x1.2p-49},
+    {97, 100, 1, 0x7e70627783c51868ull, 91u, 0x1.cp-49},
+    {97, 100, 2, 0xf5be0148466a7036ull, 89u, 0x1.2p-49},
+    {33, 32, 1, 0xf1026a2e4f2cbc10ull, 28u, 0x1.4p-50},
+    {33, 32, 2, 0xef1a3afdd3e7d41eull, 29u, 0x1p-50},
+    {130, 64, 1, 0x36a20a24a5f751eaull, 124u, 0x1.ep-49},
+    {130, 64, 2, 0x5da0a5ff49822df8ull, 124u, 0x1p-48},
+};
+
+void expect_golden(const Golden& g, const char* isa) {
+  const components::LuResult r = factor(g.n, g.block, g.seed);
+  EXPECT_EQ(r.digest, g.digest)
+      << isa << " n=" << g.n << " b=" << g.block << " seed=" << g.seed;
+  EXPECT_EQ(r.row_swaps, g.row_swaps)
+      << isa << " n=" << g.n << " b=" << g.block << " seed=" << g.seed;
+  EXPECT_EQ(r.residual_max, g.residual_max)
+      << isa << " n=" << g.n << " b=" << g.block << " seed=" << g.seed;
+}
+
+TEST(LuWorkload, MatchesGoldenOutputs) {
+  for (const Golden& g : kGolden)
+    expect_golden(g, euler::simd::isa_name(euler::simd::active()));
+}
+
+TEST(LuWorkload, IdenticalAcrossIsaLevels) {
+  // Every dispatch level the host runs must reproduce the golden bits;
+  // levels it cannot run clamp down and repeat a lower level's check.
+  const euler::simd::Isa saved = euler::simd::active();
+  for (const euler::simd::Isa isa :
+       {euler::simd::Isa::scalar, euler::simd::Isa::avx2,
+        euler::simd::Isa::avx512}) {
+    const euler::simd::Isa installed = euler::simd::set_isa(isa);
+    for (const Golden& g : kGolden)
+      expect_golden(g, euler::simd::isa_name(installed));
+  }
+  euler::simd::set_isa(saved);
+}
+
 TEST(LuWorkload, PartialPivotingActuallyPivots) {
   // Fully random matrix: the max-magnitude entry of column k is almost
   // never already at row k, so a 96x96 factorization should swap on the
@@ -49,9 +122,13 @@ TEST(LuWorkload, PartialPivotingActuallyPivots) {
 }
 
 TEST(LuWorkload, BlockWidthPreservesCorrectness) {
-  for (const int block : {1, 5, 16, 64, 128}) {
+  // Right-looking blocked LU applies each element's updates in ascending
+  // k whatever the panel width, so the factored bits do not depend on it.
+  const std::uint64_t digest = factor(64, 1, 3).digest;
+  for (const int block : {1, 5, 8, 13, 16, 63, 64, 128}) {
     const components::LuResult r = factor(64, block, 3);
     EXPECT_LT(r.residual_max, 1e-9) << "block=" << block;
+    EXPECT_EQ(r.digest, digest) << "block=" << block;
   }
 }
 
