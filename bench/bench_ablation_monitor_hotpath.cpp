@@ -2,15 +2,15 @@
 //
 // "It is important that the measurement processes themselves intrude as
 // little as possible on the application being measured" (§3.2). The
-// string-keyed MonitorPort surface pays for that bookkeeping on every
-// invocation: a ParamMap (two heap nodes) is built, the method key is
-// re-interned, and the counter snapshot allocates. The handle surface
+// seed's string-keyed monitor paid for that bookkeeping on every
+// invocation: a ParamMap (two heap nodes) was built, the method key was
+// re-interned, and the counter snapshot allocated. The handle surface
 // moves all naming to registration time — proxies resolve a MethodHandle
 // once and report each call with a stack-resident ParamSpan, and the
 // Mastermind's pooled Open stack plus columnar Record append make the
 // steady-state start/stop allocation-free.
 //
-// This bench measures three configurations on the Fig. 4 States workload
+// This bench measures two configurations on the Fig. 4 States workload
 // shape (method sc_proxy::compute(), params {Q, mode}, Q ~ 1e5, two
 // hardware counters registered) with an empty monitored body, so the
 // numbers are pure per-invocation monitoring overhead:
@@ -18,9 +18,6 @@
 //             per-call ParamMap, string-keyed timer lookup and group
 //             query, allocating read_all() snapshots, row-struct append
 //             (what Mastermind::start/stop did before this optimization);
-//   shim    — today's string-keyed MonitorPort surface (compatibility
-//             path: still builds a ParamMap and re-interns the key, but
-//             shares the pooled/columnar internals);
 //   handle  — register_method once, then MethodHandle + ParamSpan.
 // Results are recorded in bench_out/monitor_hotpath.json so later PRs can
 // track the trajectory.
@@ -77,8 +74,7 @@ double time_invocations(F&& invoke, int blocks, int reps) {
 
 /// The seed's monitoring bookkeeping, re-enacted: every structure the
 /// pre-interning Mastermind built per invocation, against the same
-/// registry. (The string path stays available as a shim, but it now shares
-/// the pooled internals — this reproduces the original cost honestly.)
+/// registry.
 struct ScalarMonitor {
   struct Invocation {
     core::ParamMap params;
@@ -180,17 +176,6 @@ int main() {
       },
       blocks, reps);
 
-  // String shim: the ParamMap is built per call and the key re-interned,
-  // but the pooled/columnar internals are shared with the handle path.
-  Rig string_rig;
-  const double string_ns = time_invocations(
-      [&] {
-        string_rig.mm->start("sc_proxy::compute()",
-                             core::ParamMap{{"Q", q}, {"mode", 0.0}});
-        string_rig.mm->stop("sc_proxy::compute()");
-      },
-      blocks, reps);
-
   // Handle surface: the method is registered once, each call passes a
   // stack-resident ParamSpan.
   Rig handle_rig;
@@ -204,23 +189,18 @@ int main() {
       },
       blocks, reps);
 
-  // Both surfaces must have produced equivalent records.
-  const core::Record* srec = string_rig.mm->record("sc_proxy::compute()");
+  // The timed path must have recorded every invocation with its params.
   const core::Record* hrec = handle_rig.mm->record("sc_proxy::compute()");
-  CCAPERF_REQUIRE(srec != nullptr && hrec != nullptr &&
-                      srec->count() == hrec->count(),
-                  "surfaces recorded different invocation counts");
-  CCAPERF_REQUIRE(srec->param_at(0, "Q") == q && hrec->param_at(0, "Q") == q,
-                  "parameter capture diverged between surfaces");
+  CCAPERF_REQUIRE(hrec != nullptr &&
+                      hrec->count() == static_cast<std::size_t>(1 + blocks * reps),
+                  "handle path lost invocations");
+  CCAPERF_REQUIRE(hrec->param_at(0, "Q") == q, "handle path lost the Q parameter");
 
   const double speedup_scalar = scalar_ns / handle_ns;
-  const double speedup_shim = string_ns / handle_ns;
 
   ccaperf::TextTable t;
   t.set_header({"configuration", "ns/invocation", "relative"});
   t.add_row({"scalar (seed recipe)", ccaperf::fmt_double(scalar_ns, 6), "1.00"});
-  t.add_row({"string shim (today)", ccaperf::fmt_double(string_ns, 6),
-             ccaperf::fmt_double(string_ns / scalar_ns, 4)});
   t.add_row({"handle + ParamSpan", ccaperf::fmt_double(handle_ns, 6),
              ccaperf::fmt_double(handle_ns / scalar_ns, 4)});
   t.render(std::cout);
@@ -228,8 +208,6 @@ int main() {
             << ccaperf::fmt_double(speedup_scalar, 4) << "x ("
             << (speedup_scalar >= 2.0 ? "meets" : "MISSES")
             << " the >= 2x target)\n";
-  std::cout << "shim/handle overhead ratio:   "
-            << ccaperf::fmt_double(speedup_shim, 4) << "x\n";
 
   bench::print_comparison(
       "monitoring overhead",
@@ -240,9 +218,7 @@ int main() {
   write_json("bench_out/monitor_hotpath.json",
              {{"monitor_hotpath", "q", q},
               {"monitor_hotpath", "scalar_ns_per_invocation", scalar_ns},
-              {"monitor_hotpath", "string_shim_ns_per_invocation", string_ns},
               {"monitor_hotpath", "handle_ns_per_invocation", handle_ns},
-              {"monitor_hotpath", "scalar_vs_handle_speedup", speedup_scalar},
-              {"monitor_hotpath", "shim_vs_handle_speedup", speedup_shim}});
+              {"monitor_hotpath", "scalar_vs_handle_speedup", speedup_scalar}});
   return 0;
 }

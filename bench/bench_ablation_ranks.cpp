@@ -15,7 +15,7 @@
 //
 // Weak scaling holds per-rank payloads fixed; strong scaling divides a
 // fixed total payload across ranks. A micro section times the tree
-// barrier/allgather against the retained flat-bay path at 64 ranks.
+// barrier and allgather per call at 64 ranks.
 //
 // Gating (scripts/bench_gate.py vs bench/baselines/ranks.json): on an
 // oversubscribed single-core runner wall time equals serialized total
@@ -134,13 +134,13 @@ double loglog_exponent(const std::vector<int>& ranks,
   return (n * sxy - sx * sy) / (n * sxx - sx * sx);
 }
 
-/// Mean per-call time of tree vs flat barrier and allgather at `nranks`.
+/// Mean per-call time of the tree barrier and allgather at `nranks`.
 struct MicroResult {
-  double barrier_tree_us = 0, barrier_flat_us = 0;
-  double allgather_tree_us = 0, allgather_flat_us = 0;
+  double barrier_tree_us = 0;
+  double allgather_tree_us = 0;
 };
 
-MicroResult micro_tree_vs_flat(int nranks, int reps) {
+MicroResult micro_tree(int nranks, int reps) {
   MicroResult out;
   mpp::Runtime::run(nranks, mpp::NetworkModel::null_model(),
                     [&](mpp::Comm& world) {
@@ -155,17 +155,10 @@ MicroResult micro_tree_vs_flat(int nranks, int reps) {
       return (world.wtime() - t0) * 1e6 / reps;
     };
     const double bt = timed([&] { world.barrier(); });
-    const double bf = timed([&] { world.barrier_flat(); });
     const double gt = timed([&] { world.allgather<long>(mine, all); });
-    const double gf = timed([&] {
-      world.allgather_bytes_flat(mine.data(), mine.size() * sizeof(long),
-                                 all.data());
-    });
     if (world.rank() == 0) {
       out.barrier_tree_us = bt;
-      out.barrier_flat_us = bf;
       out.allgather_tree_us = gt;
-      out.allgather_flat_us = gf;
     }
   });
   return out;
@@ -227,17 +220,15 @@ int main() {
   std::cout << "strong log-log exponent: "
             << ccaperf::fmt_double(strong_exp, 3) << "\n\n";
 
-  // Tree vs the retained flat-bay path at the largest common size.
+  // Per-call tree collective cost at the largest common size.
   const int micro_n = std::min(64, sweep.back());
-  const MicroResult micro = micro_tree_vs_flat(micro_n, 8);
-  std::cout << "tree vs flat at " << micro_n << " ranks (us/call):\n";
+  const MicroResult micro = micro_tree(micro_n, 8);
+  std::cout << "tree collectives at " << micro_n << " ranks (us/call):\n";
   ccaperf::TextTable micro_t;
-  micro_t.set_header({"collective", "tree", "flat bay"});
-  micro_t.add_row({"barrier", ccaperf::fmt_double(micro.barrier_tree_us, 5),
-                   ccaperf::fmt_double(micro.barrier_flat_us, 5)});
+  micro_t.set_header({"collective", "tree"});
+  micro_t.add_row({"barrier", ccaperf::fmt_double(micro.barrier_tree_us, 5)});
   micro_t.add_row({"allgather 512B",
-                   ccaperf::fmt_double(micro.allgather_tree_us, 5),
-                   ccaperf::fmt_double(micro.allgather_flat_us, 5)});
+                   ccaperf::fmt_double(micro.allgather_tree_us, 5)});
   micro_t.render(std::cout);
 
   bench::print_comparison(
@@ -254,9 +245,7 @@ int main() {
   json.push_back({"fit", "weak_exponent", weak_exp});
   json.push_back({"fit", "strong_exponent", strong_exp});
   json.push_back({"micro", "barrier_tree_us", micro.barrier_tree_us});
-  json.push_back({"micro", "barrier_flat_us", micro.barrier_flat_us});
   json.push_back({"micro", "allgather_tree_us", micro.allgather_tree_us});
-  json.push_back({"micro", "allgather_flat_us", micro.allgather_flat_us});
   bench::write_bench_json("bench_out/ranks.json", json);
 
   if (strong_exp > 1.5 || weak_exp > 1.8) {

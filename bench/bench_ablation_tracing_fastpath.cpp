@@ -6,7 +6,8 @@
 // close the traced-vs-raw gap, each gated against bench/baselines/:
 //
 //   batched  — access_run collapses strided element replay into per-line
-//              work with bit-identical counters (PR 3; still asserted);
+//              work with counters bit-identical to per-element `access`
+//              (asserted by tests/hwc/test_access_run.cpp);
 //   SIMD     — the raw path dispatches to AVX2/AVX-512 kernels selected at
 //              startup (CCAPERF_SIMD), bit-identical to the scalar
 //              reference, so the raw denominator itself speeds up;
@@ -16,8 +17,8 @@
 //              for most of the remaining simulation cost.
 //
 // This bench times the States sequential (X) sweep at Q ~ 1e5 under raw
-// (per compiled ISA), scalar-replay traced, batched-exact traced and
-// batched-sampled traced, and records the gated series in
+// (per compiled ISA), batched-exact traced and batched-sampled traced,
+// and records the gated series in
 // bench_out/tracing_fastpath.json. Timing is best-of-5 blocks per
 // configuration with the blocks round-robin interleaved across
 // configurations (the bench_ablation_ranks minimum-of-blocks protocol,
@@ -102,8 +103,6 @@ int main() {
   // comparable while the arithmetic runs at production speed.
   // The caches are the paper's 512 kB Xeon L2 — the one Figs. 4-5 model.
   hwc::NullProbe null_probe;
-  hwc::CacheSim scalar_cache(512 * 1024, 64, 8);
-  hwc::ScalarReplayProbe scalar_probe(&scalar_cache);
   hwc::CacheSim batched_cache(512 * 1024, 64, 8);
   hwc::CacheProbe batched_probe(&batched_cache);
   hwc::CacheSim sampled_cache(512 * 1024, 64, 8);
@@ -125,7 +124,6 @@ int main() {
       euler::compute_states(u, shape.interior, euler::Dir::x, gas, l, r, probe);
     };
   };
-  cfgs.push_back({"scalar", traced(scalar_probe)});
   cfgs.push_back({"batched", traced(batched_probe)});
   cfgs.push_back({"sampled", traced(sampled_probe)});
   time_all(cfgs, blocks, reps);
@@ -140,7 +138,6 @@ int main() {
   const double raw_scalar_us = best("raw_scalar");
   const double raw_us = best(std::string("raw_") + simd::isa_name(top));
   const double simd_speedup = raw_scalar_us / raw_us;
-  const double scalar_us = best("scalar");
   const double batched_us = best("batched");
   const double sampled_us = best("sampled");
   std::vector<std::pair<std::string, double>> raw_by_isa;
@@ -148,31 +145,22 @@ int main() {
     if (c.name.rfind("raw_", 0) == 0)
       raw_by_isa.emplace_back(c.name.substr(4), c.best_us);
 
-  // The fast path is only a fast path if the counters are untouched.
-  const auto sc = scalar_cache.counters();
-  const auto bc = batched_cache.counters();
-  CCAPERF_REQUIRE(sc.accesses == bc.accesses && sc.hits == bc.hits &&
-                      sc.misses == bc.misses && sc.writebacks == bc.writebacks,
-                  "batched counters diverged from the scalar replay");
   // Sampled mode rescales; its miss-rate error against exact is gated.
+  const auto bc = batched_cache.counters();
   const auto sampled = sampled_cache.scaled_counters();
   const double exact_rate = bc.miss_rate();
   const double sampled_rate = static_cast<double>(sampled.misses) /
                               static_cast<double>(sampled.accesses);
   const double missrate_rel_err = std::abs(sampled_rate - exact_rate) / exact_rate;
 
-  const double slowdown_scalar = scalar_us / raw_us;
   const double slowdown_batched = batched_us / raw_us;
   const double slowdown_sampled = sampled_us / raw_us;
-  const double speedup = scalar_us / batched_us;
 
   ccaperf::TextTable t;
   t.set_header({"configuration", "us/sweep", "slowdown vs raw"});
   for (const auto& [name, us] : raw_by_isa)
     t.add_row({"raw (" + name + ")", ccaperf::fmt_double(us, 6),
                ccaperf::fmt_double(us / raw_us, 4)});
-  t.add_row({"traced, scalar replay", ccaperf::fmt_double(scalar_us, 6),
-             ccaperf::fmt_double(slowdown_scalar, 4)});
   t.add_row({"traced, batched runs", ccaperf::fmt_double(batched_us, 6),
              ccaperf::fmt_double(slowdown_batched, 4)});
   t.add_row({"traced, sampled 1/" + std::to_string(kSampleStride),
@@ -181,8 +169,6 @@ int main() {
   t.render(std::cout);
   std::cout << "\nraw SIMD speedup (" << simd::isa_name(top)
             << " vs scalar): " << ccaperf::fmt_double(simd_speedup, 4) << "x\n"
-            << "batched/scalar traced throughput: "
-            << ccaperf::fmt_double(speedup, 4) << "x\n"
             << "sampled miss-rate rel. error vs exact: "
             << ccaperf::fmt_double(missrate_rel_err, 5) << " ("
             << bc.misses << " exact vs " << sampled.misses
@@ -192,23 +178,19 @@ int main() {
       "tracing overhead",
       {{"instrumentation overhead", "\"small\" (paper section 4)",
         ccaperf::fmt_double(slowdown_sampled, 3) + "x traced-vs-raw sampled, " +
-            ccaperf::fmt_double(slowdown_batched, 3) + "x exact (was " +
-            ccaperf::fmt_double(slowdown_scalar, 3) + "x before batching)"}});
+            ccaperf::fmt_double(slowdown_batched, 3) + "x exact"}});
 
   std::vector<bench::JsonEntry> entries{
       {"tracing_fastpath", "q", static_cast<double>(shape.q)},
       {"tracing_fastpath", "raw_scalar_us_per_sweep", raw_scalar_us},
       {"tracing_fastpath", "raw_us_per_sweep", raw_us},
       {"tracing_fastpath", "simd_raw_speedup", simd_speedup},
-      {"tracing_fastpath", "scalar_traced_us_per_sweep", scalar_us},
       {"tracing_fastpath", "batched_traced_us_per_sweep", batched_us},
       {"tracing_fastpath", "sampled_traced_us_per_sweep", sampled_us},
-      {"tracing_fastpath", "slowdown_scalar_vs_raw", slowdown_scalar},
       {"tracing_fastpath", "slowdown_batched_vs_raw", slowdown_batched},
       {"tracing_fastpath", "sampled_traced_slowdown_vs_raw", slowdown_sampled},
       {"tracing_fastpath", "sampled_missrate_rel_err", missrate_rel_err},
-      {"tracing_fastpath", "sample_stride", static_cast<double>(kSampleStride)},
-      {"tracing_fastpath", "batched_vs_scalar_speedup", speedup}};
+      {"tracing_fastpath", "sample_stride", static_cast<double>(kSampleStride)}};
   for (const auto& [name, us] : raw_by_isa)
     entries.push_back(
         {"tracing_fastpath", "raw_us_per_sweep_" + std::string(name), us});

@@ -50,7 +50,10 @@ class MatVecComponent final : public cca::Component, public MatVecPort {
 // Mechanical given the header; "it is not difficult to envision proxy
 // creation being fully automated" (§4.2). The performance parameter here
 // is N (the matrix dimension) — chosen by "someone with a knowledge of
-// the algorithm": cost is O(N^2).
+// the algorithm": cost is O(N^2). The method and its parameter names are
+// registered once, on the first call (wiring completes after
+// setServices); every call then reports N through an allocation-free
+// MonitoredHandleScope.
 
 class MatVecProxy final : public cca::Component, public MatVecPort {
  public:
@@ -63,15 +66,20 @@ class MatVecProxy final : public cca::Component, public MatVecPort {
   }
   void apply(const std::vector<double>& a, const std::vector<double>& x,
              std::vector<double>& y) override {
-    auto* monitor = svc_->get_port_as<core::MonitorPort>("monitor");
+    if (monitor_ == nullptr) {
+      monitor_ = svc_->get_port_as<core::MonitorPort>("monitor");
+      method_ = monitor_->register_method("mv_proxy::apply()", {"N"});
+    }
     auto* real = svc_->get_port_as<MatVecPort>("matvec_real");
-    core::MonitoredScope scope(*monitor, "mv_proxy::apply()",
-                               {{"N", static_cast<double>(x.size())}});
+    const double n = static_cast<double>(x.size());
+    core::MonitoredHandleScope scope(*monitor_, method_, core::ParamSpan(&n, 1));
     real->apply(a, x, y);
   }
 
  private:
   cca::Services* svc_ = nullptr;
+  core::MonitorPort* monitor_ = nullptr;
+  core::MethodHandle method_ = core::kInvalidMethodHandle;
 };
 
 }  // namespace

@@ -183,15 +183,11 @@ class MastermindComponent final : public cca::Component,
     svc.register_uses_port("measurement", "pmm.MeasurementPort");
   }
 
-  // Handle fast path (allocation-free in steady state).
+  // Monitoring (allocation-free in steady state).
   MethodHandle register_method(const std::string& method_key,
                                const std::vector<std::string>& param_names) override;
   void start(MethodHandle method, ParamSpan params) override;
   void stop(MethodHandle method) override;
-
-  // String-keyed compatibility shim over the same records.
-  void start(const std::string& method_key, const ParamMap& params) override;
-  void stop(const std::string& method_key) override;
 
   // Live telemetry (pmm.TelemetryPort).
   void start_telemetry(std::ostream& sink, std::uint64_t interval_records) override;
@@ -318,8 +314,6 @@ class MastermindComponent final : public cca::Component,
     MethodHandle method = kInvalidMethodHandle;
     double param_vals[kMaxMethodParams] = {};
     std::uint32_t n_params = 0;
-    /// Shim-path parameters (arbitrary names): (record column, value).
-    std::vector<std::pair<std::size_t, double>> extra_params;
     double mpi_us_start = 0.0;
     tau::Generation gen_start = 0;
     std::vector<std::uint64_t> counters_start;
@@ -345,8 +339,7 @@ class MastermindComponent final : public cca::Component,
   Open& push_open(LaneState& lane, MethodHandle h);
   void refresh_counter_columns(Method& m);
   void count_edge(MethodHandle caller, MethodHandle callee);
-  void start_on_lane(MethodHandle method, ParamSpan params, const ParamMap* extra,
-                     int lane);
+  void start_on_lane(MethodHandle method, ParamSpan params, int lane);
   void stop_on_lane(MethodHandle method, int lane);
   void emit_telemetry_unlocked();
   /// Deterministic 1-in-N monitor sampling decision for the n-th seen call.

@@ -29,26 +29,9 @@
 
 namespace core {
 
-/// RAII monitor bracket over the string-keyed MonitorPort surface. Kept
-/// for hand-written/out-of-tree proxies; the generated proxies below use
-/// the handle fast path.
-class MonitoredScope {
- public:
-  MonitoredScope(MonitorPort& monitor, const char* key, const ParamMap& params)
-      : monitor_(monitor), key_(key) {
-    monitor_.start(key_, params);
-  }
-  ~MonitoredScope() { monitor_.stop(key_); }
-  MonitoredScope(const MonitoredScope&) = delete;
-  MonitoredScope& operator=(const MonitoredScope&) = delete;
-
- private:
-  MonitorPort& monitor_;
-  const char* key_;
-};
-
-/// RAII monitor bracket over the handle fast path: parameter values live
-/// in a caller-owned stack array; start/stop never allocate.
+/// RAII monitor bracket: parameter values live in a caller-owned stack
+/// array; start/stop never allocate. The building block for hand-written
+/// and out-of-tree proxies (examples/custom_component.cpp).
 class MonitoredHandleScope {
  public:
   MonitoredHandleScope(MonitorPort& monitor, MethodHandle method, ParamSpan params)

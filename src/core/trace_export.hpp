@@ -87,7 +87,10 @@ class TraceMerger {
 ///   CCAPERF_TRACE       unset/""/"0"/"off" disable; "1"/"on" enable with
 ///                       the default path; anything else enables and names
 ///                       the output file.
-///   CCAPERF_TRACE_EVENTS  ring capacity in events (0 = unbounded).
+///   CCAPERF_TRACE_EVENTS  ring capacity in events: a decimal count in
+///                       1..tau::TraceBuffer::kMaxCapacity; anything else
+///                       (empty, 0, signs, suffixes, overflow) throws
+///                       ccaperf::Error naming the variable.
 struct TraceEnv {
   bool enabled = false;
   std::string path = "trace.json";

@@ -23,8 +23,7 @@ using detail::outer_extent;
 template <class Probe>
 inline constexpr bool kSimdDispatchable =
     std::is_same_v<Probe, hwc::NullProbe> ||
-    std::is_same_v<Probe, hwc::CacheProbe> ||
-    std::is_same_v<Probe, hwc::ScalarReplayProbe>;
+    std::is_same_v<Probe, hwc::CacheProbe>;
 
 /// Range-level dispatch: every public entry point (serial, _mt, _counted)
 /// funnels through here, so the active ISA level applies uniformly.
@@ -462,8 +461,8 @@ CountedSweep godunov_flux_sweep_counted(ccaperf::ThreadPool& pool,
 }
 
 // Explicit instantiations: the production (NullProbe) and cache-traced
-// (CacheProbe) configurations, plus the scalar-replay reference
-// (ScalarReplayProbe) that benches compare the batched fast path against.
+// (CacheProbe) configurations, plus the reuse-distance estimator
+// (StackDistProbe, scalar reference only).
 template KernelCounts compute_states<hwc::NullProbe>(const amr::PatchData<double>&,
                                                      const amr::Box&, Dir,
                                                      const GasModel&, Array2&,
@@ -485,15 +484,6 @@ template KernelCounts godunov_flux_sweep<hwc::CacheProbe>(const Array2&,
                                                           const Array2&, Dir,
                                                           const GasModel&, Array2&,
                                                           hwc::CacheProbe&);
-template KernelCounts compute_states<hwc::ScalarReplayProbe>(
-    const amr::PatchData<double>&, const amr::Box&, Dir, const GasModel&, Array2&,
-    Array2&, hwc::ScalarReplayProbe&);
-template KernelCounts efm_flux_sweep<hwc::ScalarReplayProbe>(
-    const Array2&, const Array2&, Dir, const GasModel&, Array2&,
-    hwc::ScalarReplayProbe&);
-template KernelCounts godunov_flux_sweep<hwc::ScalarReplayProbe>(
-    const Array2&, const Array2&, Dir, const GasModel&, Array2&,
-    hwc::ScalarReplayProbe&);
 template KernelCounts compute_states<hwc::StackDistProbe>(
     const amr::PatchData<double>&, const amr::Box&, Dir, const GasModel&, Array2&,
     Array2&, hwc::StackDistProbe&);

@@ -39,9 +39,6 @@ template KernelCounts states_range_avx2<hwc::NullProbe>(
 template KernelCounts states_range_avx2<hwc::CacheProbe>(
     const amr::PatchData<double>&, const amr::Box&, Dir, const GasModel&,
     Array2&, Array2&, hwc::CacheProbe&, int, int);
-template KernelCounts states_range_avx2<hwc::ScalarReplayProbe>(
-    const amr::PatchData<double>&, const amr::Box&, Dir, const GasModel&,
-    Array2&, Array2&, hwc::ScalarReplayProbe&, int, int);
 template KernelCounts efm_range_avx2<hwc::NullProbe>(const Array2&,
                                                      const Array2&, Dir,
                                                      const GasModel&, Array2&,
@@ -49,8 +46,5 @@ template KernelCounts efm_range_avx2<hwc::NullProbe>(const Array2&,
 template KernelCounts efm_range_avx2<hwc::CacheProbe>(
     const Array2&, const Array2&, Dir, const GasModel&, Array2&,
     hwc::CacheProbe&, int, int);
-template KernelCounts efm_range_avx2<hwc::ScalarReplayProbe>(
-    const Array2&, const Array2&, Dir, const GasModel&, Array2&,
-    hwc::ScalarReplayProbe&, int, int);
 
 }  // namespace euler::detail

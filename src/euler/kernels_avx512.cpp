@@ -40,17 +40,11 @@ template KernelCounts states_range_avx512<hwc::NullProbe>(
 template KernelCounts states_range_avx512<hwc::CacheProbe>(
     const amr::PatchData<double>&, const amr::Box&, Dir, const GasModel&,
     Array2&, Array2&, hwc::CacheProbe&, int, int);
-template KernelCounts states_range_avx512<hwc::ScalarReplayProbe>(
-    const amr::PatchData<double>&, const amr::Box&, Dir, const GasModel&,
-    Array2&, Array2&, hwc::ScalarReplayProbe&, int, int);
 template KernelCounts efm_range_avx512<hwc::NullProbe>(
     const Array2&, const Array2&, Dir, const GasModel&, Array2&,
     hwc::NullProbe&, int, int);
 template KernelCounts efm_range_avx512<hwc::CacheProbe>(
     const Array2&, const Array2&, Dir, const GasModel&, Array2&,
     hwc::CacheProbe&, int, int);
-template KernelCounts efm_range_avx512<hwc::ScalarReplayProbe>(
-    const Array2&, const Array2&, Dir, const GasModel&, Array2&,
-    hwc::ScalarReplayProbe&, int, int);
 
 }  // namespace euler::detail

@@ -1,9 +1,9 @@
 #pragma once
 // Entry points of the per-ISA SIMD translation units. Declarations only:
-// definitions and explicit instantiations (NullProbe / CacheProbe /
-// ScalarReplayProbe) live in kernels_avx2.cpp / kernels_avx512.cpp, which
-// CMake compiles with the matching -m flags (and -ffp-contract=off) only
-// when the compiler supports them; the CCAPERF_SIMD_AVX2/AVX512 macros
+// definitions and explicit instantiations (NullProbe / CacheProbe) live
+// in kernels_avx2.cpp / kernels_avx512.cpp, which CMake compiles with the
+// matching -m flags (and -ffp-contract=off) only when the compiler
+// supports them; the CCAPERF_SIMD_AVX2/AVX512 macros
 // tell kernels.cpp which cases exist to dispatch to.
 
 #include <cstddef>

@@ -107,15 +107,6 @@ class CacheSim {
                                                 std::size_t elem_bytes,
                                                 bool is_write);
 
-  /// The pre-fastpath element path, preserved verbatim (two set scans, no
-  /// MRU way hint, per-touch tag-shift recompute) so ablation benches can
-  /// measure the fast path against the cost profile that shipped before
-  /// it, not against today's accelerated scalar path. Counters and
-  /// replacement decisions are bit-identical to `access`
-  /// (tests/hwc/test_access_run.cpp asserts this); only the mru_ hint is
-  /// left stale, which can never change counters.
-  std::uint64_t access_prebatch(std::uintptr_t addr, std::size_t bytes, bool is_write);
-
   /// Invalidates all lines (O(1): bumps the line generation) and keeps
   /// counters.
   void flush();

@@ -670,10 +670,9 @@ void Comm::collective(std::size_t scratch_bytes,
 // both O(log n) rounds per rank for any group size (no power-of-two
 // requirement). The bay serializes all n ranks through one mutex per
 // operation — fine at the paper's 3 processors, quadratic-cost thundering
-// herd at 256 (DESIGN.md §10). Results are byte-identical to the flat
-// path, the outer MPI hook bracket is unchanged, and each rank still
-// consumes exactly one modeled-delay draw per operation, so clean-run
-// traces and counters match the pre-tree fabric bit for bit. Per-hop
+// herd at 256 (DESIGN.md §10). Outputs are laid out in group-rank order
+// as MPI specifies, each call opens one outer MPI hook bracket, and each
+// rank consumes exactly one modeled-delay draw per operation. Per-hop
 // progress is additionally visible through CommHooks::on_collective_hop.
 
 void Comm::hop_send(int dest_group, std::uint64_t gen, int round,
@@ -728,11 +727,6 @@ void Comm::barrier() {
     }
   }
   sleep_us(fabric_->delay_us(my_world_rank(), 0));
-}
-
-void Comm::barrier_flat() {
-  HookScope hook("MPI_Barrier()");
-  collective(0, [](detail::CollectiveBay&, bool) {}, [](detail::CollectiveBay&) {}, 0);
 }
 
 void Comm::bcast_bytes(void* data, std::size_t bytes, int root) {
@@ -830,24 +824,6 @@ void Comm::allgather_bytes(const void* in, std::size_t chunk_bytes, void* out) {
   sleep_us(fabric_->delay_us(my_world_rank(), chunk_bytes * n));
 }
 
-void Comm::allgather_bytes_flat(const void* in, std::size_t chunk_bytes,
-                                void* out) {
-  HookScope hook("MPI_Allgather()");
-  const std::size_t n = static_cast<std::size_t>(size());
-  hook.set_bytes(chunk_bytes * n);
-  collective(
-      chunk_bytes * n,
-      [&](detail::CollectiveBay& bay, bool) {
-        std::memcpy(bay.scratch.data() +
-                        static_cast<std::size_t>(group_rank_) * chunk_bytes,
-                    in, chunk_bytes);
-      },
-      [&](detail::CollectiveBay& bay) {
-        std::memcpy(out, bay.scratch.data(), chunk_bytes * n);
-      },
-      chunk_bytes * n);
-}
-
 void Comm::gather_bytes(const void* in, std::size_t chunk_bytes, void* out, int root) {
   HookScope hook("MPI_Gather()");
   const std::size_t n = static_cast<std::size_t>(size());
@@ -927,30 +903,6 @@ void Comm::allgatherv_bytes(const void* in, std::size_t my_bytes, void* out,
     }
   }
   sleep_us(fabric_->delay_us(my_world_rank(), total));
-}
-
-void Comm::allgatherv_bytes_flat(const void* in, std::size_t my_bytes, void* out,
-                                 std::span<const std::size_t> byte_counts) {
-  HookScope hook("MPI_Allgatherv()");
-  CCAPERF_REQUIRE(byte_counts.size() == static_cast<std::size_t>(size()),
-                  "allgatherv: need one count per rank");
-  CCAPERF_REQUIRE(byte_counts[static_cast<std::size_t>(group_rank_)] == my_bytes,
-                  "allgatherv: my_bytes disagrees with byte_counts");
-  std::size_t total = 0, my_offset = 0;
-  for (std::size_t r = 0; r < byte_counts.size(); ++r) {
-    if (r == static_cast<std::size_t>(group_rank_)) my_offset = total;
-    total += byte_counts[r];
-  }
-  hook.set_bytes(total);
-  collective(
-      total,
-      [&](detail::CollectiveBay& bay, bool) {
-        std::memcpy(bay.scratch.data() + my_offset, in, my_bytes);
-      },
-      [&](detail::CollectiveBay& bay) {
-        std::memcpy(out, bay.scratch.data(), total);
-      },
-      total);
 }
 
 void Comm::alltoall_bytes(const void* in, std::size_t chunk_bytes, void* out) {

@@ -172,15 +172,6 @@ class Comm {
                         std::span<const std::size_t> byte_counts);
   void alltoall_bytes(const void* in, std::size_t chunk_bytes, void* out);
 
-  /// Reference single-rendezvous (CollectiveBay) implementations of the
-  /// tree collectives above. Byte-identical results and hook names; kept
-  /// for equivalence tests and the flat-vs-tree ablation in
-  /// bench_ablation_ranks, not for production call sites.
-  void barrier_flat();
-  void allgather_bytes_flat(const void* in, std::size_t chunk_bytes, void* out);
-  void allgatherv_bytes_flat(const void* in, std::size_t my_bytes, void* out,
-                             std::span<const std::size_t> byte_counts);
-
   template <class T, class Op = std::plus<T>>
   void allreduce(std::span<const T> in, std::span<T> out) {
     check_pod<T>();

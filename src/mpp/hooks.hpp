@@ -61,8 +61,7 @@ struct FaultEvent {
 /// ("MPI_Allgather()", ...), `round` the 0-based algorithm round, `peer`
 /// the world rank the payload is handed to, `bytes` the payload carried by
 /// this hop. The aggregate per-rank hop count of a collective is
-/// O(log size), which is what makes it observable that the tree path —
-/// not the flat rendezvous — executed.
+/// O(log size).
 struct HopEvent {
   const char* op = nullptr;
   int round = 0;

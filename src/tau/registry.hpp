@@ -282,8 +282,8 @@ class Registry {
   /// on the same time axis when merged (core::TraceMerger).
   void set_tracing_from_epoch(Clock::time_point epoch);
 
-  /// Bound of the trace ring in events (0 = unbounded legacy vector mode).
-  /// Resets the trace.
+  /// Bound of the trace ring in events, at least 1 (0 or a count past
+  /// TraceBuffer::kMaxCapacity throws ccaperf::Error). Resets the trace.
   void set_trace_capacity(std::size_t events);
 
   // --- trace tiers (governor actuation, DESIGN.md §12) -----------------------

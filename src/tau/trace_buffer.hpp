@@ -10,7 +10,8 @@
 // copyable): pushes never allocate after the first, the oldest events are
 // overwritten when the ring is full (flight-recorder semantics — the most
 // recent window survives), and every overwrite is counted so consumers can
-// report exactly how much history was lost.
+// report exactly how much history was lost. The capacity is always at
+// least one event.
 //
 // One record type carries five event kinds:
 //   enter/exit — timer activations (id = TimerId);
@@ -19,14 +20,14 @@
 //   msg_send/msg_recv — point-to-point message endpoints carrying
 //     (peer world rank, tag, bytes, per-(src,dst) sequence number), the
 //     key the cross-rank merger uses to draw deterministic flow arrows.
-//
-// Capacity 0 selects the legacy unbounded-vector behaviour; it exists for
-// the trace-overhead ablation and for short tests that must not drop.
 
 #include <bit>
 #include <cstdint>
 #include <cstddef>
+#include <string>
 #include <vector>
+
+#include "support/error.hpp"
 
 namespace tau {
 
@@ -75,13 +76,21 @@ static_assert(std::is_trivially_copyable_v<TraceRecord>,
 class TraceBuffer {
  public:
   static constexpr std::size_t kDefaultCapacity = 1u << 16;  // 2.5 MiB/rank
+  /// Largest capacity whose ring size in bytes fits in size_t.
+  static constexpr std::size_t kMaxCapacity =
+      static_cast<std::size_t>(-1) / sizeof(TraceRecord);
 
-  explicit TraceBuffer(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity) {}
+  explicit TraceBuffer(std::size_t capacity = kDefaultCapacity) {
+    set_capacity(capacity);
+  }
 
-  /// Configured bound in events (0 = unbounded legacy mode). Changing the
-  /// capacity clears the buffer.
+  /// Configured bound in events, 1..kMaxCapacity (anything else throws
+  /// ccaperf::Error). Changing the capacity clears the buffer.
   void set_capacity(std::size_t events) {
+    CCAPERF_REQUIRE(events >= 1 && events <= kMaxCapacity,
+                    "TraceBuffer: capacity must be 1.." +
+                        std::to_string(kMaxCapacity) + " events, got " +
+                        std::to_string(events));
     capacity_ = events;
     ring_.clear();
     ring_.shrink_to_fit();
@@ -107,10 +116,6 @@ class TraceBuffer {
 
   void push(const TraceRecord& r) {
     ++total_;
-    if (capacity_ == 0) {  // legacy unbounded mode (ablation baseline)
-      ring_.push_back(r);
-      return;
-    }
     if (ring_.size() < capacity_) {
       if (ring_.capacity() == 0) ring_.reserve(capacity_);
       ring_.push_back(r);
@@ -134,7 +139,7 @@ class TraceBuffer {
   }
 
  private:
-  std::size_t capacity_;
+  std::size_t capacity_ = 0;
   std::vector<TraceRecord> ring_;
   std::size_t head_ = 0;  ///< index of the oldest retained event
   std::uint64_t total_ = 0;

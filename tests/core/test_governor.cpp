@@ -210,8 +210,12 @@ TEST(GovernorMonitor, CountersRegisteredOnAttach) {
 TEST(GovernorMonitor, SamplingThinsRecordsAndReportsRealizedFraction) {
   Rig rig;
   // Drive the governor to a level with monitor_stride > 1 before attaching,
-  // so the stride applies from the first monitored call.
+  // so the stride applies from the first monitored call. No live window
+  // may close during the 64 calls below: on a slow build (sanitizers, a
+  // loaded host) a closed window measures the empty-body loop's ~100%
+  // overhead and raises the stride mid-run.
   core::GovernorConfig cfg = test_config();
+  cfg.window_records = 1024;
   core::OverheadGovernor gov(cfg);
   while (gov.settings().monitor_stride < 4) gov.observe(window_pct(50.0));
   const std::uint32_t stride = gov.settings().monitor_stride;

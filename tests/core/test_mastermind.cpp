@@ -1,6 +1,7 @@
 // Mastermind monitoring: per-invocation wall/MPI/compute attribution via
 // TAU query differencing, parameter and counter capture, nesting, CSV
-// dumps, and error handling.
+// dumps, and error handling — all through the MonitorPort handle surface
+// (register_method + start/stop by MethodHandle) the proxies use.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/mastermind.hpp"
 #include "core/tau_component.hpp"
@@ -30,6 +33,12 @@ struct Rig {
     tau = dynamic_cast<core::TauMeasurementComponent*>(&fw.component("tau"));
   }
 
+  /// Registers `key` (and its parameter names) for monitoring.
+  core::MethodHandle method(const std::string& key,
+                            const std::vector<std::string>& params = {}) {
+    return mm->register_method(key, params);
+  }
+
   static cca::ComponentRepository make_repo() {
     cca::ComponentRepository repo;
     repo.register_class("TauMeasurement",
@@ -49,9 +58,11 @@ void spin_ms(double ms) {
 
 TEST(Mastermind, RecordsWallTimeAndParams) {
   Rig rig;
-  rig.mm->start("m::f()", {{"Q", 1234.0}});
+  const auto f = rig.method("m::f()", {"Q"});
+  const double q = 1234.0;
+  rig.mm->start(f, {&q, 1});
   spin_ms(2.0);
-  rig.mm->stop("m::f()");
+  rig.mm->stop(f);
 
   const core::Record* rec = rig.mm->record("m::f()");
   ASSERT_NE(rec, nullptr);
@@ -66,8 +77,9 @@ TEST(Mastermind, RecordsWallTimeAndParams) {
 
 TEST(Mastermind, CreatesProxyTimerInTau) {
   Rig rig;
-  rig.mm->start("sc_proxy::compute()", {});
-  rig.mm->stop("sc_proxy::compute()");
+  const auto h = rig.method("sc_proxy::compute()");
+  rig.mm->start(h, {});
+  rig.mm->stop(h);
   tau::Registry& reg = rig.tau->registry();
   ASSERT_TRUE(reg.has_timer("sc_proxy::compute()"));
   EXPECT_EQ(reg.calls(reg.timer("sc_proxy::compute()")), 1u);
@@ -81,15 +93,23 @@ TEST(Mastermind, AttributesMpiTimePerInvocation) {
   net.latency_us = 3000.0;
   mpp::Runtime::run(2, net, [](mpp::Comm& world) {
     Rig rig;  // installs hooks into this rank's registry
+    const auto recv = rig.method("m::recv()");
     if (world.rank() == 0) {
+      // Send only once rank 1 is about to open its window, so the data's
+      // modeled latency always lands inside the monitored receive however
+      // the two rank threads are scheduled.
+      int go = 0;
+      world.recv_bytes(&go, sizeof go, 1, 1);
       int v = 1;
       world.send_bytes(&v, sizeof v, 1, 0);
     } else {
-      rig.mm->start("m::recv()", {});
+      const int go = 1;
+      world.send_bytes(&go, sizeof go, 0, 1);  // buffered: returns at once
+      rig.mm->start(recv, {});
       int v = 0;
       world.recv_bytes(&v, sizeof v, 0, 0);
       spin_ms(1.0);
-      rig.mm->stop("m::recv()");
+      rig.mm->stop(recv);
       const auto& inv = rig.mm->record("m::recv()")->invocations()[0];
       EXPECT_GE(inv.mpi_us, 2500.0);
       EXPECT_GE(inv.compute_us, 800.0);
@@ -105,18 +125,24 @@ TEST(Mastermind, SeparatesConsecutiveInvocationsMpiTime) {
   net.latency_us = 2000.0;
   mpp::Runtime::run(2, net, [](mpp::Comm& world) {
     Rig rig;
+    const auto a = rig.method("m::a()");
+    const auto b = rig.method("m::b()");
     if (world.rank() == 0) {
+      int go = 0;
+      world.recv_bytes(&go, sizeof go, 1, 1);  // handshake, as above
       int v = 1;
       world.send_bytes(&v, sizeof v, 1, 0);
       world.barrier();
     } else {
-      rig.mm->start("m::a()", {});
+      const int go = 1;
+      world.send_bytes(&go, sizeof go, 0, 1);
+      rig.mm->start(a, {});
       int v = 0;
       world.recv_bytes(&v, sizeof v, 0, 0);
-      rig.mm->stop("m::a()");
-      rig.mm->start("m::b()", {});
+      rig.mm->stop(a);
+      rig.mm->start(b, {});
       spin_ms(0.5);  // no MPI at all
-      rig.mm->stop("m::b()");
+      rig.mm->stop(b);
       world.barrier();
       EXPECT_GE(rig.mm->record("m::a()")->invocations()[0].mpi_us, 1500.0);
       EXPECT_NEAR(rig.mm->record("m::b()")->invocations()[0].mpi_us, 0.0, 1.0);
@@ -126,30 +152,38 @@ TEST(Mastermind, SeparatesConsecutiveInvocationsMpiTime) {
 
 TEST(Mastermind, NestedMonitoringIsLifo) {
   Rig rig;
-  rig.mm->start("outer()", {});
-  rig.mm->start("inner()", {});
+  const auto outer = rig.method("outer()");
+  const auto inner = rig.method("inner()");
+  rig.mm->start(outer, {});
+  rig.mm->start(inner, {});
   spin_ms(1.0);
-  rig.mm->stop("inner()");
-  rig.mm->stop("outer()");
+  rig.mm->stop(inner);
+  rig.mm->stop(outer);
   EXPECT_GE(rig.mm->record("outer()")->invocations()[0].wall_us,
             rig.mm->record("inner()")->invocations()[0].wall_us);
 }
 
 TEST(Mastermind, MismatchedStopThrows) {
   Rig rig;
-  rig.mm->start("a()", {});
-  EXPECT_THROW(rig.mm->stop("b()"), ccaperf::Error);
-  rig.mm->stop("a()");
-  EXPECT_THROW(rig.mm->stop("a()"), ccaperf::Error);
+  const auto a = rig.method("a()");
+  const auto b = rig.method("b()");
+  rig.mm->start(a, {});
+  EXPECT_THROW(rig.mm->stop(b), ccaperf::Error);
+  rig.mm->stop(a);
+  EXPECT_THROW(rig.mm->stop(a), ccaperf::Error);
+  // A handle no register_method issued is rejected on both sides.
+  EXPECT_THROW(rig.mm->start(core::kInvalidMethodHandle, {}), ccaperf::Error);
+  EXPECT_THROW(rig.mm->stop(core::kInvalidMethodHandle), ccaperf::Error);
 }
 
 TEST(Mastermind, CapturesCounterDeltas) {
   Rig rig;
   std::uint64_t misses = 100;
   rig.tau->registry().counters().add_source(hwc::kL2Dcm, [&misses] { return misses; });
-  rig.mm->start("k()", {});
+  const auto k = rig.method("k()");
+  rig.mm->start(k, {});
   misses = 175;
-  rig.mm->stop("k()");
+  rig.mm->stop(k);
   const auto& inv = rig.mm->record("k()")->invocations()[0];
   ASSERT_EQ(inv.counters.size(), 1u);
   EXPECT_EQ(inv.counters[0].first, hwc::kL2Dcm);
@@ -158,9 +192,10 @@ TEST(Mastermind, CapturesCounterDeltas) {
 
 TEST(Mastermind, SamplesExtractQAndMetric) {
   Rig rig;
+  const auto f = rig.method("f()", {"Q"});
   for (double q : {100.0, 200.0, 300.0}) {
-    rig.mm->start("f()", {{"Q", q}});
-    rig.mm->stop("f()");
+    rig.mm->start(f, {&q, 1});
+    rig.mm->stop(f);
   }
   const auto samples = rig.mm->record("f()")->samples("Q");
   ASSERT_EQ(samples.size(), 3u);
@@ -170,8 +205,10 @@ TEST(Mastermind, SamplesExtractQAndMetric) {
 
 TEST(Mastermind, CsvDumpHasHeaderAndRows) {
   Rig rig;
-  rig.mm->start("f()", {{"Q", 7.0}});
-  rig.mm->stop("f()");
+  const auto f = rig.method("f()", {"Q"});
+  const double q = 7.0;
+  rig.mm->start(f, {&q, 1});
+  rig.mm->stop(f);
   std::ostringstream os;
   rig.mm->record("f()")->dump_csv(os);
   const std::string s = os.str();
@@ -184,8 +221,10 @@ TEST(Mastermind, DumpAllWritesFiles) {
   const std::string dir = "mastermind_test_dump";
   {
     Rig rig;
-    rig.mm->start("m::f()", {{"Q", 1.0}});
-    rig.mm->stop("m::f()");
+    const auto f = rig.method("m::f()", {"Q"});
+    const double q = 1.0;
+    rig.mm->start(f, {&q, 1});
+    rig.mm->stop(f);
     rig.mm->dump_all(dir, 0);
   }
   EXPECT_TRUE(std::filesystem::exists(dir + "/m__f__.rank0.csv"));
@@ -195,14 +234,16 @@ TEST(Mastermind, DumpAllWritesFiles) {
 TEST(Mastermind, CallPathEdgesFromNesting) {
   Rig rig;
   // driver -> a -> b, a -> b, then top-level b.
-  rig.mm->start("a()", {});
-  rig.mm->start("b()", {});
-  rig.mm->stop("b()");
-  rig.mm->start("b()", {});
-  rig.mm->stop("b()");
-  rig.mm->stop("a()");
-  rig.mm->start("b()", {});
-  rig.mm->stop("b()");
+  const auto a = rig.method("a()");
+  const auto b = rig.method("b()");
+  rig.mm->start(a, {});
+  rig.mm->start(b, {});
+  rig.mm->stop(b);
+  rig.mm->start(b, {});
+  rig.mm->stop(b);
+  rig.mm->stop(a);
+  rig.mm->start(b, {});
+  rig.mm->stop(b);
   EXPECT_EQ(rig.mm->call_count("a()", "b()"), 2u);
   EXPECT_EQ(rig.mm->call_count("", "a()"), 1u);
   EXPECT_EQ(rig.mm->call_count("", "b()"), 1u);
@@ -212,10 +253,12 @@ TEST(Mastermind, CallPathEdgesFromNesting) {
 
 TEST(Mastermind, MethodKeysListsAllRecords) {
   Rig rig;
-  rig.mm->start("a()", {});
-  rig.mm->stop("a()");
-  rig.mm->start("b()", {});
-  rig.mm->stop("b()");
+  const auto a = rig.method("a()");
+  const auto b = rig.method("b()");
+  rig.mm->start(a, {});
+  rig.mm->stop(a);
+  rig.mm->start(b, {});
+  rig.mm->stop(b);
   const auto keys = rig.mm->method_keys();
   ASSERT_EQ(keys.size(), 2u);
   EXPECT_EQ(keys[0], "a()");

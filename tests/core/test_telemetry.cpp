@@ -29,6 +29,12 @@ struct Rig {
     tau = dynamic_cast<core::TauMeasurementComponent*>(&fw.component("tau"));
   }
 
+  /// Registers `key` (and its parameter names) for monitoring.
+  core::MethodHandle method(const std::string& key,
+                            const std::vector<std::string>& params = {}) {
+    return mm->register_method(key, params);
+  }
+
   static cca::ComponentRepository make_repo() {
     cca::ComponentRepository repo;
     repo.register_class(
@@ -58,10 +64,12 @@ long field(const std::string& line, const std::string& key) {
 TEST(Telemetry, EmitsOneLinePerIntervalPlusFinal) {
   Rig rig;
   std::ostringstream sink;
+  const auto sc = rig.method("sc_proxy::compute()", {"Q"});
   rig.mm->start_telemetry(sink, 2);
   for (int i = 0; i < 5; ++i) {
-    rig.mm->start("sc_proxy::compute()", {{"Q", double(i)}});
-    rig.mm->stop("sc_proxy::compute()");
+    const double q = i;
+    rig.mm->start(sc, {&q, 1});
+    rig.mm->stop(sc);
   }
   rig.mm->stop_telemetry();
 
@@ -77,9 +85,10 @@ TEST(Telemetry, EmitsOneLinePerIntervalPlusFinal) {
 TEST(Telemetry, LinesAreSelfContainedJsonObjects) {
   Rig rig;
   std::ostringstream sink;
+  const auto flux = rig.method("flux_proxy::compute()");
   rig.mm->start_telemetry(sink, 1);
-  rig.mm->start("flux_proxy::compute()", {});
-  rig.mm->stop("flux_proxy::compute()");
+  rig.mm->start(flux, {});
+  rig.mm->stop(flux);
   rig.mm->stop_telemetry();
 
   for (const std::string& line : lines_of(sink.str())) {
@@ -101,9 +110,10 @@ TEST(Telemetry, DeltaQueryIsIncrementalAcrossLines) {
   // the first sees the method's timer, an idle interval sees none.
   Rig rig;
   std::ostringstream sink;
+  const auto sc = rig.method("sc_proxy::compute()");
   rig.mm->start_telemetry(sink, 1);
-  rig.mm->start("sc_proxy::compute()", {});
-  rig.mm->stop("sc_proxy::compute()");  // line 1
+  rig.mm->start(sc, {});
+  rig.mm->stop(sc);                     // line 1
   rig.mm->emit_telemetry();             // line 2: nothing ran in between
   rig.mm->stop_telemetry();             // line 3
 
@@ -119,12 +129,14 @@ TEST(Telemetry, NestedWindowsEmitOnlyAtOutermostStop) {
   // must wait for the monitoring stack to unwind.
   Rig rig;
   std::ostringstream sink;
+  const auto icc = rig.method("icc_proxy::advance()");
+  const auto sc = rig.method("sc_proxy::compute()");
   rig.mm->start_telemetry(sink, 1);
-  rig.mm->start("icc_proxy::advance()", {});
-  rig.mm->start("sc_proxy::compute()", {});
-  rig.mm->stop("sc_proxy::compute()");  // record #1, but depth is still 1
+  rig.mm->start(icc, {});
+  rig.mm->start(sc, {});
+  rig.mm->stop(sc);  // record #1, but depth is still 1
   EXPECT_EQ(rig.mm->telemetry_lines(), 0u);
-  rig.mm->stop("icc_proxy::advance()");  // depth 0: both records flush
+  rig.mm->stop(icc);  // depth 0: both records flush
   EXPECT_EQ(rig.mm->telemetry_lines(), 1u);
   rig.mm->stop_telemetry();
 }
@@ -132,11 +144,12 @@ TEST(Telemetry, NestedWindowsEmitOnlyAtOutermostStop) {
 TEST(Telemetry, SelfOverheadIsAccountedAndBounded) {
   Rig rig;
   std::ostringstream sink;
+  const auto sc = rig.method("sc_proxy::compute()");
   rig.mm->start_telemetry(sink, 4);
   const auto wall0 = tau::Clock::now();
   for (int i = 0; i < 64; ++i) {
-    rig.mm->start("sc_proxy::compute()", {});
-    rig.mm->stop("sc_proxy::compute()");
+    rig.mm->start(sc, {});
+    rig.mm->stop(sc);
   }
   rig.mm->stop_telemetry();
   const double wall_us =
@@ -157,13 +170,14 @@ TEST(Telemetry, MonitoringKeepsWorkingAfterStop) {
   // generation retirement) without losing records.
   Rig rig;
   std::ostringstream sink;
+  const auto sc = rig.method("sc_proxy::compute()");
   rig.mm->start_telemetry(sink, 1);
-  rig.mm->start("sc_proxy::compute()", {});
-  rig.mm->stop("sc_proxy::compute()");
+  rig.mm->start(sc, {});
+  rig.mm->stop(sc);
   rig.mm->stop_telemetry();
 
-  rig.mm->start("sc_proxy::compute()", {});
-  rig.mm->stop("sc_proxy::compute()");
+  rig.mm->start(sc, {});
+  rig.mm->stop(sc);
   const core::Record* rec = rig.mm->record("sc_proxy::compute()");
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->count(), 2u);

@@ -313,4 +313,29 @@ TEST(TraceExport, TraceEnvParsesTheSwitch) {
   ::unsetenv("CCAPERF_TRACE_EVENTS");
 }
 
+TEST(TraceExport, TraceEventsRejectsMalformedCounts) {
+  ::setenv("CCAPERF_TRACE", "1", 1);
+  // Zero, non-numeric, suffixed, signed, padded and overflowing counts.
+  const std::string too_big =
+      std::to_string(static_cast<unsigned long long>(
+          tau::TraceBuffer::kMaxCapacity) + 1);
+  for (const std::string bad :
+       {"0", "abc", "64k", "-1", "", " 8", "+8", "8 ", too_big.c_str(),
+        "99999999999999999999999"}) {
+    ::setenv("CCAPERF_TRACE_EVENTS", bad.c_str(), 1);
+    try {
+      (void)core::trace_env();
+      ADD_FAILURE() << "accepted CCAPERF_TRACE_EVENTS=\"" << bad << "\"";
+    } catch (const ccaperf::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("CCAPERF_TRACE_EVENTS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ::setenv("CCAPERF_TRACE_EVENTS", "1", 1);
+  EXPECT_EQ(core::trace_env().capacity, 1u);
+  ::unsetenv("CCAPERF_TRACE");
+  ::unsetenv("CCAPERF_TRACE_EVENTS");
+}
+
 }  // namespace

@@ -144,10 +144,9 @@ INSTANTIATE_TEST_SUITE_P(Sizes, CollectivesAtSize, ::testing::Values(1, 2, 3, 5,
 // The dissemination barrier and Bruck allgather/allgatherv replaced the flat
 // CollectiveBay implementations behind the same API (DESIGN.md §10). At 64
 // (power of two) and 129 (odd, non-power-of-two) ranks these cases pin the
-// two contracts that swap relies on: byte-identical results against both a
-// locally computed reference and the retained flat path, and exactly
-// ceil(log2 n) relay hops per rank per collective — the O(log n) witness
-// that the tree, not the flat rendezvous, executed.
+// two contracts that swap relies on: results equal to a closed-form
+// reference, and exactly ceil(log2 n) relay hops per rank per collective —
+// the O(log n) witness of the tree algorithms.
 
 int ceil_log2(int n) {
   int r = 0;
@@ -184,28 +183,25 @@ TEST_P(TreeCollectivesAtScale, BarrierCompletesRepeatedly) {
   });
 }
 
-TEST_P(TreeCollectivesAtScale, AllgatherMatchesFlatAndReference) {
+TEST_P(TreeCollectivesAtScale, AllgatherMatchesClosedForm) {
   Runtime::run(GetParam(), [](Comm& world) {
     const auto n = static_cast<std::size_t>(world.size());
     std::vector<int> mine(3);
     for (int k = 0; k < 3; ++k)
       mine[static_cast<std::size_t>(k)] = world.rank() * 3 + k;
-    std::vector<int> tree(n * 3, -1), flat(n * 3, -2);
+    std::vector<int> tree(n * 3, -1);
     world.allgather<int>(mine, tree);
-    world.allgather_bytes_flat(mine.data(), mine.size() * sizeof(int),
-                               flat.data());
-    EXPECT_EQ(tree, flat);
     for (std::size_t i = 0; i < tree.size(); ++i)
       EXPECT_EQ(tree[i], static_cast<int>(i));
   });
 }
 
-TEST_P(TreeCollectivesAtScale, AllgathervMatchesFlatAndReference) {
+TEST_P(TreeCollectivesAtScale, AllgathervMatchesClosedForm) {
   Runtime::run(GetParam(), [](Comm& world) {
     // Variable chunks including empty ones: rank r contributes r % 4
-    // elements of value r (zero-size contributions must round-trip both
-    // paths — the sharded load balancer produces them when patches are
-    // scarcer than ranks).
+    // elements of value r (zero-size contributions must round-trip — the
+    // sharded load balancer produces them when patches are scarcer than
+    // ranks).
     const auto n = static_cast<std::size_t>(world.size());
     std::vector<std::size_t> counts(n);
     std::size_t total = 0;
@@ -215,13 +211,8 @@ TEST_P(TreeCollectivesAtScale, AllgathervMatchesFlatAndReference) {
     }
     std::vector<int> mine(static_cast<std::size_t>(world.rank() % 4),
                           world.rank());
-    std::vector<int> tree(total, -1), flat(total, -2);
+    std::vector<int> tree(total, -1);
     world.allgatherv<int>(mine, tree, counts);
-    std::vector<std::size_t> byte_counts(n);
-    for (std::size_t r = 0; r < n; ++r) byte_counts[r] = counts[r] * sizeof(int);
-    world.allgatherv_bytes_flat(mine.data(), mine.size() * sizeof(int),
-                                flat.data(), byte_counts);
-    EXPECT_EQ(tree, flat);
     std::size_t pos = 0;
     for (std::size_t r = 0; r < n; ++r)
       for (std::size_t k = 0; k < counts[r]; ++k)
@@ -250,11 +241,6 @@ TEST_P(TreeCollectivesAtScale, HopAccountingIsLogarithmicPerRank) {
     EXPECT_EQ(hc.barrier_begins, 1);
     EXPECT_EQ(hc.allgather_begins, 1);
     EXPECT_EQ(hc.allgatherv_begins, 1);
-    // The flat path reports no hops (it is a bay rendezvous, not a tree).
-    const int tree_hops = hc.barrier_hops;
-    world.barrier_flat();
-    EXPECT_EQ(hc.barrier_hops, tree_hops);
-    EXPECT_EQ(hc.barrier_begins, 2);
   });
 }
 

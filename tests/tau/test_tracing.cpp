@@ -203,17 +203,23 @@ TEST(Tracing, RingMemoryStaysAtConfiguredBound) {
   EXPECT_EQ(buf[15].t_us, 999.0);  // newest
 }
 
-TEST(Tracing, CapacityZeroIsUnbounded) {
+TEST(Tracing, CapacityZeroIsRejected) {
+  EXPECT_THROW(tau::TraceBuffer(0), ccaperf::Error);
+  EXPECT_THROW(tau::TraceBuffer(tau::TraceBuffer::kMaxCapacity + 1),
+               ccaperf::Error);
   Registry reg;
-  reg.set_trace_capacity(0);
+  reg.set_trace_capacity(8);
+  EXPECT_THROW(reg.set_trace_capacity(0), ccaperf::Error);
+  EXPECT_EQ(reg.trace().capacity(), 8u);  // a rejected bound changes nothing
+  // The smallest legal ring keeps only the newest event.
+  reg.set_trace_capacity(1);
   reg.set_tracing(true);
   const auto t = reg.timer("f()");
-  for (int k = 0; k < 200000; ++k) {  // well past the default ring bound
-    reg.start(t);
-    reg.stop(t);
-  }
-  EXPECT_EQ(reg.trace().size(), 400000u);
-  EXPECT_EQ(reg.trace().dropped(), 0u);
+  reg.start(t);
+  reg.stop(t);
+  ASSERT_EQ(reg.trace().size(), 1u);
+  EXPECT_TRUE(reg.trace()[0].is_exit());
+  EXPECT_EQ(reg.trace().dropped(), 1u);
 }
 
 TEST(Tracing, MessageEventsCarryIdentity) {
