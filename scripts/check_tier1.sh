@@ -366,11 +366,15 @@ if want asan; then
   echo "== address-sanitized measurement suites (${ASAN_DIR}) =="
   cmake -B "${ASAN_DIR}" -S . -DCCAPERF_SANITIZE=address >/dev/null
   # test_lu_workload: the LU kernels' row and column tile tails.
+  # test_euler Riemann*: the exact solver against its reference copy on
+  # edge inputs (signed zeros, overflowing sums, degenerate gammas, NaN
+  # phi).
   cmake --build "${ASAN_DIR}" -j "${JOBS}" \
-    --target test_tau test_core test_lu_workload
+    --target test_tau test_core test_lu_workload test_euler
   "${ASAN_DIR}/tests/tau/test_tau"
   "${ASAN_DIR}/tests/core/test_core"
   "${ASAN_DIR}/tests/components/test_lu_workload"
+  "${ASAN_DIR}/tests/euler/test_euler" --gtest_filter='Riemann*'
 fi
 
 echo "stages [${STAGES}]: OK"

@@ -77,7 +77,9 @@ KernelCounts efm_range(const Array2& left, const Array2& right, Dir dir,
 }
 
 // Godunov's exact Riemann solve iterates data-dependently per face, so it
-// stays scalar at every ISA level.
+// stays scalar at every ISA level. Its per-face cost is data dependent in
+// a second way too: on faces with equal p and u (uniform flow, contacts)
+// the solver skips its pow calls (riemann.hpp).
 template <class Probe>
 KernelCounts godunov_range(const Array2& left, const Array2& right, Dir dir,
                            const GasModel& gas, Array2& flux, Probe& probe,

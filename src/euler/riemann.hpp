@@ -9,6 +9,14 @@
 // GodunovFlux "involves an internal iterative solution for every element
 // of the data array", producing a standard deviation that grows with
 // array size (Fig. 7).
+//
+// pow(1, y) is never called: it is 1 for every y (C Annex F), and on a
+// face with pL == pR and uL == uR (uniform flow, contacts) every pressure
+// ratio the solver raises to a power is exactly 1.0. Outputs, iteration
+// counts and the modelled flops are unchanged (DESIGN.md §11), but
+// Godunov's wall time per face now also depends on the share of such
+// faces, not only on the jump strengths: most faces of an AMR patch are
+// such faces, almost none of a synthetic Q-sweep patch are.
 
 #include "euler/state.hpp"
 

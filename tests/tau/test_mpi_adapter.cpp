@@ -69,8 +69,15 @@ TEST(MpiAdapter, GroupSumTracksCommunicationTime) {
 
     int v = 7;
     if (world.rank() == 0) {
+      // Send only once rank 1 is about to receive: the message is stamped
+      // deliver_at = send time + latency, so a receiver thread that starts
+      // late would otherwise wait less than the modelled 2 ms.
+      int go = 0;
+      world.recv_bytes(&go, sizeof go, 1, 1);
       world.send_bytes(&v, sizeof v, 1, 0);
     } else {
+      const int go = 1;
+      world.send_bytes(&go, sizeof go, 0, 1);  // buffered: returns at once
       world.recv_bytes(&v, sizeof v, 0, 0);
       EXPECT_GE(reg.group_inclusive_us(tau::kMpiGroup), 1800.0);
     }
