@@ -245,12 +245,43 @@ if want simd-matrix; then
   # host cannot run clamp down (ultimately to scalar), so on a non-AVX
   # runner the stage degrades to a scalar-vs-scalar determinism check
   # instead of failing.
+  # The cache simulator's lookups are inlined into the kernel TUs, so its
+  # bit-identity suites run at every level too.
   need_fig01
-  cmake --build "${BUILD_DIR}" -j "${JOBS}" --target test_lu_workload
+  cmake --build "${BUILD_DIR}" -j "${JOBS}" --target test_lu_workload test_hwc
   for isa in scalar avx2 avx512 native; do
     CCAPERF_SIMD="${isa}" "${BUILD_DIR}/tests/components/test_lu_workload" \
       --gtest_brief=1
+    CCAPERF_SIMD="${isa}" "${BUILD_DIR}/tests/hwc/test_hwc" --gtest_brief=1 \
+      --gtest_filter='CacheExactness.*:AccessRun.*:*CacheVsReference*'
   done
+  # A per-ISA object must not emit an inline or template copy (a weak
+  # symbol) that a baseline object also defines or calls: the linker keeps
+  # one copy, and it may be the one built for AVX-512. Only the dispatch
+  # entry points, named for their ISA, may be called from baseline code.
+  python3 - "${BUILD_DIR}" <<'PY'
+import glob, os, subprocess, sys
+
+def syms(path, kinds):
+    out = subprocess.run(["nm", path], capture_output=True, text=True,
+                         check=True).stdout
+    return {f[-1] for f in map(str.split, out.splitlines())
+            if len(f) >= 2 and f[-2] in kinds}
+
+objs = glob.glob(os.path.join(sys.argv[1], "src", "**", "*.o"), recursive=True)
+isa = [o for o in objs if "_avx" in os.path.basename(o)]
+defined, called = set(), set()
+for o in objs:
+    if o not in isa:
+        defined |= syms(o, {"T", "W", "V"})
+        called |= syms(o, {"U"})
+shared = sorted((os.path.basename(o), s) for o in isa
+                for s in syms(o, {"W", "V"})
+                if s in defined or (s in called and "avx" not in s))
+assert isa, "no per-ISA objects found"
+assert not shared, f"per-ISA objects share inline copies with baseline ones: {shared[:5]}"
+print(f"simd matrix: {len(isa)} per-ISA objects share no inline copy with baseline objects")
+PY
   for isa in scalar avx2 native; do
     (cd "${SMOKE_DIR}" && mkdir -p "simd-${isa}" && cd "simd-${isa}" &&
      CCAPERF_SIMD="${isa}" CCAPERF_HWC=sim \
@@ -369,12 +400,15 @@ if want asan; then
   # test_euler Riemann*: the exact solver against its reference copy on
   # edge inputs (signed zeros, overflowing sums, degenerate gammas, NaN
   # phi).
+  # test_hwc CacheExactness: the cache simulator's flat way arrays against
+  # its reference copy, across geometries, flush wraps and sampling.
   cmake --build "${ASAN_DIR}" -j "${JOBS}" \
-    --target test_tau test_core test_lu_workload test_euler
+    --target test_tau test_core test_lu_workload test_euler test_hwc
   "${ASAN_DIR}/tests/tau/test_tau"
   "${ASAN_DIR}/tests/core/test_core"
   "${ASAN_DIR}/tests/components/test_lu_workload"
   "${ASAN_DIR}/tests/euler/test_euler" --gtest_filter='Riemann*'
+  "${ASAN_DIR}/tests/hwc/test_hwc" --gtest_filter='CacheExactness.*'
 fi
 
 echo "stages [${STAGES}]: OK"

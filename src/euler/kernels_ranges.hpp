@@ -12,7 +12,12 @@
 
 #include "euler/kernels.hpp"
 
+// Internal linkage (unnamed namespace): the per-ISA TUs instantiate these
+// templates too, with the traced cache-sim lookup inlined for their ISA,
+// and a shared copy built for AVX-512 must never be the one a baseline TU
+// links against. Every TU keeps its own copy instead.
 namespace euler::detail {
+namespace {
 
 inline double minmod(double a, double b) {
   if (a * b <= 0.0) return 0.0;
@@ -203,4 +208,5 @@ KernelCounts godunov_range_scalar(const Array2& left, const Array2& right,
   return counts;
 }
 
+}  // namespace
 }  // namespace euler::detail

@@ -24,7 +24,10 @@
 
 #include "euler/kernels_ranges.hpp"
 
+// Internal linkage (unnamed namespace), as in kernels_ranges.hpp: each
+// per-ISA TU keeps its own copies.
 namespace euler::detail {
+namespace {
 
 template <int W>
 struct VecTypes;
@@ -391,4 +394,5 @@ void rk2_heun_vec(double* u, const double* u_old, const double* dudt,
   for (; k < n; ++k) u[k] = 0.5 * (u_old[k] + u[k] + dt * dudt[k]);
 }
 
+}  // namespace
 }  // namespace euler::detail

@@ -26,93 +26,99 @@ CacheSim::CacheSim(std::size_t size_bytes, std::size_t line_bytes,
   CCAPERF_REQUIRE(is_pow2(sets_), "CacheSim: set count must be a power of two");
   line_shift_ = log2u(line_bytes_);
   tag_shift_ = log2u(sets_);
-  ways_.assign(sets_ * assoc_, Way{});
-  mru_.assign(sets_, 0);
+  meta_.assign(sets_ * assoc_, 0);
+  lru_.assign(sets_ * assoc_, 0);
 }
 
-CacheSim::Way* CacheSim::touch_way(std::uint64_t line_addr, bool is_write,
-                                   std::uint64_t& misses) {
-  ++counters_.accesses;
-  const std::uint64_t set = line_addr & (sets_ - 1);
-  const std::uint64_t tag = line_addr >> tag_shift_;
-  Way* row = &ways_[static_cast<std::size_t>(set) * assoc_];
-  std::uint32_t& mru = mru_[static_cast<std::size_t>(set)];
+void CacheSim::set_lower(CacheSim* lower) {
+  lower_ = lower;
+  for (CacheSim* c = lower; c != nullptr; c = c->lower_) c->sampler_ = sampler_;
+}
 
-  // MRU way hint: repeat hits on the hottest line of a set skip the
-  // associativity scan entirely (the dominant event in a traced sweep).
-  const std::uint64_t want = match_meta(tag);
-  if (Way& h = row[mru]; (h.meta & ~std::uint64_t{1}) == want) {
-    ++counters_.hits;
-    h.lru = ++stamp_;
-    h.meta |= static_cast<std::uint64_t>(is_write);
-    return &h;
-  }
+std::size_t CacheSim::find_any(std::size_t row, std::uint64_t want) const {
+  for (std::size_t w = 0; w < assoc_; ++w)
+    if ((meta_[row + w] & ~std::uint64_t{1}) == want) return row + w;
+  return kNoSlot;
+}
 
-  // One pass doubles as hit scan and victim pre-selection (first invalid
-  // way, else strict-LRU with lowest-index tie-break — identical choice to
-  // a separate victim scan).
-  std::size_t victim = 0;
-  bool found_invalid = false;
-  std::uint64_t oldest = ~std::uint64_t{0};
-  for (std::size_t w = 0; w < assoc_; ++w) {
-    if (!valid(row[w])) {
-      if (!found_invalid) {
-        victim = w;
-        found_invalid = true;
-      }
-      continue;
-    }
-    if ((row[w].meta & ~std::uint64_t{1}) == want) {
-      ++counters_.hits;
-      row[w].lru = ++stamp_;
-      row[w].meta |= static_cast<std::uint64_t>(is_write);
-      mru = static_cast<std::uint32_t>(w);
-      return &row[w];
-    }
-    if (!found_invalid && row[w].lru < oldest) {
-      oldest = row[w].lru;
-      victim = w;
+template <std::size_t W>
+std::size_t CacheSim::fill(std::uint64_t line, std::size_t row,
+                           std::uint64_t want, bool is_write) {
+  const std::size_t ways = W != 0 ? W : assoc_;
+  std::uint64_t* const m = &meta_[row];
+  const std::uint64_t* const s = &lru_[row];
+  // Victim: the first invalid way, else the least recently used one (valid
+  // ways hold unique stamps, so there are no ties to break). Both scans
+  // are selects, not branches: which way loses is data, not control flow.
+  const std::uint64_t gen_bits = kGenMask << 1;
+  std::size_t victim = ways;
+  for (std::size_t w = ways; w-- > 0;)
+    victim = (m[w] & gen_bits) != (want & gen_bits) ? w : victim;
+  const bool evict = victim == ways;
+  if (evict) {
+    victim = 0;
+    std::uint64_t oldest = s[0];
+    for (std::size_t w = 1; w < ways; ++w) {
+      const bool older = s[w] < oldest;
+      oldest = older ? s[w] : oldest;
+      victim = older ? w : victim;
     }
   }
 
-  // Miss: forward to the lower level, then fill (write-allocate).
+  // Miss: fetch from the lower level, then write a dirty victim back.
   ++counters_.misses;
-  ++misses;
-  if (lower_ != nullptr)
-    lower_->access(line_addr << line_shift_, line_bytes_, is_write);
-
-  if (!found_invalid) {
+  if (lower_ != nullptr) forward(line, is_write);
+  if (evict) {
     ++counters_.evictions;
-    if (way_dirty(row[victim])) {
+    if ((m[victim] & 1) != 0) {
       ++counters_.writebacks;
-      // Dirty victim written back to the lower level.
-      if (lower_ != nullptr) {
-        const std::uint64_t victim_line =
-            (way_tag(row[victim]) << tag_shift_) | set;
-        lower_->access(victim_line << line_shift_, line_bytes_, true);
-      }
+      if (lower_ != nullptr)
+        forward((m[victim] >> kTagShiftInMeta) << tag_shift_ | (line & (sets_ - 1)),
+                true);
     }
   }
-  row[victim] = Way{pack_meta(tag, gen_, is_write), ++stamp_};
-  mru = static_cast<std::uint32_t>(victim);
-  return &row[victim];
+  m[victim] = want | static_cast<std::uint64_t>(is_write);
+  return row + victim;
 }
 
-std::uint64_t CacheSim::touch_line(std::uint64_t line_addr, bool is_write) {
-  std::uint64_t misses = 0;
-  touch_way(line_addr, is_write, misses);
+template std::size_t CacheSim::fill<0>(std::uint64_t, std::size_t,
+                                       std::uint64_t, bool);
+template std::size_t CacheSim::fill<4>(std::uint64_t, std::size_t,
+                                       std::uint64_t, bool);
+template std::size_t CacheSim::fill<8>(std::uint64_t, std::size_t,
+                                       std::uint64_t, bool);
+
+void CacheSim::forward(std::uint64_t line, bool is_write) {
+  const std::uint64_t addr = line << line_shift_;
+  if (lower_->line_shift_ == line_shift_)
+    lower_->touch_line(addr >> line_shift_, is_write);
+  else
+    lower_->access(addr, line_bytes_, is_write);
+}
+
+std::uint64_t CacheSim::touch_line(std::uint64_t line, bool is_write) {
+  const View v = view();
+  const std::uint64_t misses_before = counters_.misses;
+  std::uint64_t stamp = stamp_;
+  switch (assoc_) {
+    case 4: lookup<4>(v, line, is_write, stamp); break;
+    case 8: lookup<8>(v, line, is_write, stamp); break;
+    default: lookup<0>(v, line, is_write, stamp); break;
+  }
+  const std::uint64_t misses = counters_.misses - misses_before;
+  settle(stamp, misses);
   return misses;
+}
+
+std::uint64_t CacheSim::run_any(std::uintptr_t addr, std::ptrdiff_t stride_bytes,
+                                std::size_t count, std::size_t elem_bytes,
+                                bool is_write) {
+  return run<0>(addr, stride_bytes, count, elem_bytes, is_write);
 }
 
 std::uint64_t CacheSim::access(std::uintptr_t addr, std::size_t bytes, bool is_write) {
-  if (bytes == 0) return 0;
-  const std::uint64_t first = static_cast<std::uint64_t>(addr) >> line_shift_;
-  const std::uint64_t last =
-      static_cast<std::uint64_t>(addr + bytes - 1) >> line_shift_;
-  std::uint64_t misses = 0;
-  for (std::uint64_t line = first; line <= last; ++line)
-    misses += touch_line(line, is_write);
-  return misses;
+  // One element: a one-element run, without the sampling gate.
+  return bytes == 0 ? 0 : run_any(addr, 0, 1, bytes, is_write);
 }
 
 void CacheSim::flush() {
@@ -124,7 +130,8 @@ void CacheSim::flush() {
   // a previous epoch can therefore never read as valid.
   ++gen_;
   if ((gen_ & kGenMask) == 0) {
-    std::fill(ways_.begin(), ways_.end(), Way{});
+    std::fill(meta_.begin(), meta_.end(), 0);
+    std::fill(lru_.begin(), lru_.end(), 0);
     ++gen_;
   }
 }

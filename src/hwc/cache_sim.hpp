@@ -15,17 +15,26 @@
 // level is forwarded to `lower()`.
 //
 // The simulator is on the tracing hot path (every probed load/store of a
-// traced kernel lands here), so it carries three fast-path mechanisms:
-//  * `access_run` batches a whole strided run of elements into one call,
-//    touching each cache line once via address arithmetic — elements that
-//    provably stay in the line just touched are accounted as hits without
-//    re-walking the set;
-//  * a per-set MRU way hint short-circuits the associativity scan on
-//    repeat hits (the dominant event in a traced sweep);
+// traced kernel lands here), so its exact core is built for it:
+//  * way state is two flat arrays (structure of arrays, 16 B per way):
+//    packed tag/generation/dirty words and last-use stamps;
+//  * the 4- and 8-way geometries (XeonHierarchy) get a lookup specialised
+//    at compile time that compares the whole set at once into a hit mask,
+//    without branches; on a miss the victim is the first invalid way,
+//    else the smallest stamp. Other associativities take a generic
+//    out-of-line path. The lookup inlines into the kernel translation
+//    units, so it is compiled for the caller's ISA;
+//  * `access_run` steps one strided run line by line: a touch of the line
+//    just touched is a guaranteed hit and is counted without a lookup, so
+//    dense runs cost O(lines touched);
+//  * misses and writebacks reach the lower level through its line path,
+//    which dispatches on that level's associativity at run time;
 //  * `flush()` is O(1): a generation counter invalidates every line
-//    without rewriting the way array.
-// All three are exact: counters are bit-identical to an element-by-element
-// `access` loop (tests/hwc/test_access_run.cpp asserts this property).
+//    without rewriting the way arrays.
+// All of these are exact: counters are bit-identical to an
+// element-by-element `access` loop (tests/hwc/test_access_run.cpp) and to
+// the array-of-structs simulator this design replaced
+// (tests/hwc/test_cache_exactness.cpp).
 //
 // On top of the exact machinery sit two pay-per-sample estimation modes
 // (DESIGN.md §11):
@@ -48,6 +57,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <immintrin.h>
+#endif
 
 #include "support/error.hpp"
 
@@ -96,11 +109,11 @@ class CacheSim {
   /// Simulates `count` accesses of `elem_bytes` each, the k-th at
   /// `addr + k*stride_bytes` — exactly equivalent (bit-identical counters
   /// and replacement state) to calling `access` once per element, but runs
-  /// in O(lines touched) instead of O(elements) for dense runs. Negative
-  /// strides are allowed (falls back to the scalar walk). Returns the
-  /// number of misses incurred at *this* level. Defined inline below so
-  /// kernel call sites with constant counts/strides specialize fully;
-  /// `access` stays out of line as the per-element reference path.
+  /// in O(lines touched) instead of O(elements) for dense runs. Zero and
+  /// negative strides are allowed. Returns the number of misses incurred
+  /// at *this* level. Defined inline below (and forced inline, so no
+  /// out-of-line copy is emitted) so kernel call sites specialize fully
+  /// and get their translation unit's ISA.
   CCAPERF_FORCE_INLINE std::uint64_t access_run(std::uintptr_t addr,
                                                 std::ptrdiff_t stride_bytes,
                                                 std::size_t count,
@@ -161,12 +174,7 @@ class CacheSim {
   /// which is bit-identical; this only exists so traced kernels can skip
   /// the per-batch replay bookkeeping wholesale between sampled windows.
   bool sample_skip(std::uint64_t batches) {
-    if (sample_stride_ <= 1 || batches == 0) return false;
-    if ((sample_tick_ & sample_window_mask_) == 0)
-      sample_window_active_ =
-          (sample_tick_ >> sample_burst_log2_) % sample_stride_ ==
-          sample_phase_;
-    if (sample_window_active_) return false;
+    if (sample_stride_ <= 1 || batches == 0 || window_active()) return false;
     if ((sample_tick_ & sample_window_mask_) + batches >
         sample_window_mask_ + 1)
       return false;
@@ -181,62 +189,92 @@ class CacheSim {
   std::size_t num_sets() const { return sets_; }
 
   /// Chains a lower (larger/slower) level; misses here are forwarded to it.
-  void set_lower(CacheSim* lower) { lower_ = lower; }
+  /// The lower chain inherits this level's sampler, so chaining after
+  /// set_sample_stride() scales it too.
+  void set_lower(CacheSim* lower);
   CacheSim* lower() const { return lower_; }
 
  private:
-  // 16 bytes/way, not 32: the way array is the simulator's real working
-  // set (a 512 kB sim = 1024 sets x 8 ways), and every touch lands on a
-  // random set, so its footprint — not instruction count — bounds the
-  // traced hot path. tag, generation and dirty pack into one word; the
-  // hit check then becomes a single masked compare. The 16-bit generation
-  // field is kept exact by flush() hard-invalidating on wrap. Tags keep
-  // their low 47 bits (the rest shift out of meta): addresses alias only
-  // beyond 2^(47 + tag_shift + line_shift) — far outside any real address
-  // space — and every fill/lookup/writeback path truncates identically, so
-  // the bit-identity property holds for arbitrary 64-bit addresses too.
-  struct Way {
-    std::uint64_t meta = 0;  // tag << 17 | (gen & kGenMask) << 1 | dirty
-    std::uint64_t lru = 0;   // last-use stamp
-  };
+  // 16 bytes/way in two flat arrays: the way state is the simulator's real
+  // working set (a 512 kB sim = 1024 sets x 8 ways), and every touch lands
+  // on a random set, so its footprint bounds the traced hot path. A set's
+  // meta words sit side by side, so one lookup compares them all at once.
+  // meta = tag << 17 | (gen & kGenMask) << 1 | dirty: the hit check is one
+  // masked compare. The 16-bit generation field is kept exact by flush()
+  // hard-invalidating on wrap. Tags keep their low 47 bits (the rest shift
+  // out of meta): addresses alias only beyond 2^(47 + tag_shift +
+  // line_shift) — far outside any real address space — and every
+  // fill/lookup/writeback path truncates identically, so the bit-identity
+  // property holds for arbitrary 64-bit addresses too.
+  /// Sampled mode's verdict for the window holding the next batch: a
+  /// modulo computed once per window boundary and cached.
+  bool window_active() {
+    if ((sample_tick_ & sample_window_mask_) == 0)
+      sample_window_active_ =
+          (sample_tick_ >> sample_burst_log2_) % sample_stride_ ==
+          sample_phase_;
+    return sample_window_active_;
+  }
+
   static constexpr std::uint64_t kGenMask = 0xffff;  // 16-bit generation
   static constexpr unsigned kTagShiftInMeta = 17;
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
-  static std::uint64_t pack_meta(std::uint64_t tag, std::uint64_t gen,
-                                 bool dirty) {
-    return tag << kTagShiftInMeta | (gen & kGenMask) << 1 |
-           static_cast<std::uint64_t>(dirty);
+  /// Run-invariant state, hoisted into registers for a run: nothing
+  /// inside one reallocates the arrays or changes the generation.
+  struct View {
+    std::uint64_t* meta;
+    std::uint64_t* lru;
+    std::uint64_t set_mask;
+    unsigned tag_shift;
+    std::uint64_t gen_field;  // (gen & kGenMask) << 1
+  };
+  View view() {
+    return {meta_.data(), lru_.data(), sets_ - 1, tag_shift_,
+            (gen_ & kGenMask) << 1};
   }
-  static std::uint64_t way_tag(const Way& w) { return w.meta >> kTagShiftInMeta; }
-  static bool way_dirty(const Way& w) { return (w.meta & 1) != 0; }
-  /// Meta of a clean, current-generation way holding `tag`; a way matches
-  /// (any dirty state) iff (meta & ~1) equals this.
-  std::uint64_t match_meta(std::uint64_t tag) const {
-    return pack_meta(tag, gen_, false);
-  }
-  bool valid(const Way& w) const {
-    return ((w.meta >> 1) & kGenMask) == (gen_ & kGenMask);
-  }
-  std::uint64_t touch_line(std::uint64_t line_addr, bool is_write);
-  /// touch_line, but also hands back the way now holding the line (the
-  /// set's new MRU) so access_run can extend guaranteed-hit runs on it.
-  Way* touch_way(std::uint64_t line_addr, bool is_write, std::uint64_t& misses);
-  /// Inline MRU-hint fast path for access_run: a repeat hit on the set's
-  /// hottest line costs a handful of instructions; everything else falls
-  /// through to the out-of-line touch_way. Bookkeeping is identical to
-  /// touch_way's hint-hit branch.
-  Way* hint_touch(std::uint64_t line_addr, bool is_write, std::uint64_t& misses) {
-    const std::uint64_t set = line_addr & (sets_ - 1);
-    Way& h = ways_[static_cast<std::size_t>(set) * assoc_ +
-                   mru_[static_cast<std::size_t>(set)]];
-    if ((h.meta & ~std::uint64_t{1}) == match_meta(line_addr >> tag_shift_)) {
-      ++counters_.accesses;
-      ++counters_.hits;
-      h.lru = ++stamp_;
-      h.meta |= static_cast<std::uint64_t>(is_write);
-      return &h;
-    }
-    return touch_way(line_addr, is_write, misses);
+
+  template <std::size_t W>
+  CCAPERF_FORCE_INLINE static unsigned hit_mask(const std::uint64_t* m,
+                                                std::uint64_t want);
+  /// One lookup of `line` at compile-time associativity W (0: assoc_ at
+  /// run time). Stamps the way, sets its dirty bit on a write, fills it on
+  /// a miss; returns its slot (set * ways + way). fill() counts the miss;
+  /// the caller settles accesses and hits from the stamp delta (every
+  /// touch takes exactly one stamp).
+  template <std::size_t W>
+  CCAPERF_FORCE_INLINE std::size_t lookup(const View& v, std::uint64_t line,
+                                          bool is_write, std::uint64_t& stamp);
+  /// The strided-run loop behind access_run, at associativity W.
+  template <std::size_t W>
+  CCAPERF_FORCE_INLINE std::uint64_t run(std::uintptr_t addr,
+                                         std::ptrdiff_t stride_bytes,
+                                         std::size_t count,
+                                         std::size_t elem_bytes, bool is_write);
+  /// run<0>, out of line: access(), and access_run at every associativity
+  /// but 4 and 8.
+  std::uint64_t run_any(std::uintptr_t addr, std::ptrdiff_t stride_bytes,
+                        std::size_t count, std::size_t elem_bytes,
+                        bool is_write);
+  /// Generic hit scan of the set starting at `row` (kNoSlot on a miss).
+  std::size_t find_any(std::size_t row, std::uint64_t want) const;
+  /// Miss path: picks the victim (first invalid way, else the smallest
+  /// stamp), fetches the line from the lower level, writes a dirty victim
+  /// back, and stores `want | dirty` in the victim's meta. Returns its slot.
+  template <std::size_t W>
+  std::size_t fill(std::uint64_t line, std::size_t row, std::uint64_t want,
+                   bool is_write);
+  /// One touch of `line` with full bookkeeping: the lower-level path that
+  /// a miss or writeback above takes, dispatched on associativity.
+  std::uint64_t touch_line(std::uint64_t line, bool is_write);
+  /// Sends one of this level's lines (a fetch or a writeback) to lower_.
+  void forward(std::uint64_t line, bool is_write);
+  /// Settles the counters of the touches made since stamp_.
+  void settle(std::uint64_t stamp, std::uint64_t misses) {
+    const std::uint64_t n = stamp - stamp_;
+    counters_.accesses += n;
+    counters_.hits += n - misses;
+    stamp_ = stamp;
   }
 
   std::size_t size_bytes_;
@@ -244,11 +282,11 @@ class CacheSim {
   std::size_t assoc_;
   std::size_t sets_;
   unsigned line_shift_;
-  unsigned tag_shift_;                 // log2(sets_), hoisted from touch_line
-  std::vector<Way> ways_;              // sets_ x assoc_, row-major
-  std::vector<std::uint32_t> mru_;     // per-set most-recently-used way hint
-  std::uint64_t stamp_ = 0;
-  std::uint64_t gen_ = 1;              // flush() increments; Way::gen matches
+  unsigned tag_shift_;                 // log2(sets_)
+  std::vector<std::uint64_t> meta_;    // sets_ x assoc_, row-major
+  std::vector<std::uint64_t> lru_;     // sets_ x assoc_: last-use stamps
+  std::uint64_t stamp_ = 0;            // one per access, so stamps are unique
+  std::uint64_t gen_ = 1;              // flush() increments; meta gen matches
   std::uint32_t sample_stride_ = 1;    // 1 = exact mode
   std::uint64_t sample_tick_ = 0;      // access_run batches seen
   std::uint64_t sample_seen_ = 0;      // access_run batches simulated
@@ -262,6 +300,128 @@ class CacheSim {
   CacheSim* lower_ = nullptr;
 };
 
+template <std::size_t W>
+unsigned CacheSim::hit_mask(const std::uint64_t* m, std::uint64_t want) {
+  // Whole-set compare: bit w is set iff way w holds `want` in any dirty
+  // state, 4 ways per AVX2 compare in the per-ISA kernel TUs and 2 per
+  // SSE2 compare in baseline ones. Always inlined, so each TU compiles it
+  // with its own flags and no copy is shared between TUs of different ISAs.
+#if defined(__AVX2__)
+  if constexpr (W == 4 || W == 8) {
+    const __m256i clean = _mm256_set1_epi64x(~1LL);
+    const __m256i key = _mm256_set1_epi64x(static_cast<long long>(want));
+    unsigned hit = 0;
+    for (std::size_t w = 0; w < W; w += 4) {
+      const __m256i ways = _mm256_and_si256(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(m + w)), clean);
+      hit |= static_cast<unsigned>(_mm256_movemask_pd(
+                 _mm256_castsi256_pd(_mm256_cmpeq_epi64(ways, key))))
+             << w;
+    }
+    return hit;
+  }
+#elif defined(__SSE2__)
+  if constexpr (W == 4 || W == 8) {
+    const __m128i clean = _mm_set1_epi64x(~1LL);
+    const __m128i key = _mm_set1_epi64x(static_cast<long long>(want));
+    unsigned hit = 0;
+    for (std::size_t w = 0; w < W; w += 2) {
+      const __m128i eq = _mm_cmpeq_epi32(
+          _mm_and_si128(_mm_loadu_si128(reinterpret_cast<const __m128i*>(m + w)),
+                        clean),
+          key);
+      // A 64-bit way matches iff both of its 32-bit halves do.
+      const __m128i eq64 = _mm_and_si128(eq, _mm_shuffle_epi32(eq, 0xb1));
+      hit |= static_cast<unsigned>(_mm_movemask_pd(_mm_castsi128_pd(eq64))) << w;
+    }
+    return hit;
+  }
+#endif
+  unsigned hit = 0;
+  for (std::size_t w = 0; w < W; ++w)
+    hit |= static_cast<unsigned>((m[w] & ~std::uint64_t{1}) == want) << w;
+  return hit;
+}
+
+template <std::size_t W>
+std::size_t CacheSim::lookup(const View& v, std::uint64_t line, bool is_write,
+                             std::uint64_t& stamp) {
+  const std::size_t row =
+      static_cast<std::size_t>(line & v.set_mask) * (W != 0 ? W : assoc_);
+  const std::uint64_t want =
+      (line >> v.tag_shift) << kTagShiftInMeta | v.gen_field;
+  std::size_t slot;
+  bool hit;
+  if constexpr (W != 0) {
+    // At most one way can match; the top bit only keeps ctz defined.
+    const unsigned mask = hit_mask<W>(v.meta + row, want);
+    hit = mask != 0;
+    slot = row + static_cast<std::size_t>(__builtin_ctz(mask | 1u << 31));
+  } else {
+    slot = find_any(row, want);
+    hit = slot != kNoSlot;
+  }
+  if (hit)
+    v.meta[slot] |= static_cast<std::uint64_t>(is_write);
+  else
+    slot = fill<W>(line, row, want, is_write);
+  v.lru[slot] = ++stamp;
+  return slot;
+}
+
+template <std::size_t W>
+std::uint64_t CacheSim::run(std::uintptr_t addr, std::ptrdiff_t stride_bytes,
+                            std::size_t count, std::size_t elem_bytes,
+                            bool is_write) {
+  const View v = view();
+  const unsigned line_shift = line_shift_;
+  const auto ustride = static_cast<std::uint64_t>(stride_bytes);
+  const std::uint64_t misses_before = counters_.misses;
+  std::uint64_t stamp = stamp_;
+  std::uint64_t a = static_cast<std::uint64_t>(addr);
+  // Invariant: slot `cur` holds `cur_line` and no other line has been
+  // touched since, so another touch of cur_line is a guaranteed hit. Its
+  // dirty bit needs no update: the lookup that set `cur` belongs to this
+  // run, which reads or writes throughout.
+  std::uint64_t cur_line = 0;
+  std::size_t cur = kNoSlot;
+  for (std::size_t k = 0; k < count; a += ustride) {
+    const std::uint64_t first = a >> line_shift;
+    const std::uint64_t last = (a + elem_bytes - 1) >> line_shift;
+    for (std::uint64_t line = first; line <= last; ++line) {
+      if (line == cur_line && cur != kNoSlot) {
+        v.lru[cur] = ++stamp;
+      } else {
+        cur = lookup<W>(v, line, is_write, stamp);
+        cur_line = line;
+      }
+    }
+    ++k;
+    // The following elements that stay inside this one line are
+    // guaranteed hits too: account them in one step.
+    if (first == last && stride_bytes >= 0 && k < count) {
+      std::uint64_t n = count - k;
+      if (ustride != 0) {
+        const std::uint64_t room = ((last + 1) << line_shift) - (a + elem_bytes);
+        n = room < ustride ? 0
+            : std::min<std::uint64_t>(
+                  n, (ustride & (ustride - 1)) == 0
+                         ? room >> __builtin_ctzll(ustride)
+                         : room / ustride);
+      }
+      if (n != 0) {
+        stamp += n;
+        v.lru[cur] = stamp;
+        k += static_cast<std::size_t>(n);
+        a += n * ustride;
+      }
+    }
+  }
+  const std::uint64_t misses = counters_.misses - misses_before;
+  settle(stamp, misses);
+  return misses;
+}
+
 inline std::uint64_t CacheSim::access_run(std::uintptr_t addr,
                                           std::ptrdiff_t stride_bytes,
                                           std::size_t count, std::size_t elem_bytes,
@@ -270,196 +430,17 @@ inline std::uint64_t CacheSim::access_run(std::uintptr_t addr,
   // Sampled mode: only 1-in-stride windows of consecutive batches are
   // simulated; the rest return before touching counters or replacement
   // state. Exact mode (stride 1) takes one predicted-not-taken branch
-  // here and nothing else. The window verdict (a modulo) is computed once
-  // per window boundary and cached — the steady-state skip path is an
-  // increment and two predictable branches, cheap enough to leave on in
-  // the traced production path.
-  if (sample_stride_ > 1) {
-    if ((sample_tick_ & sample_window_mask_) == 0)
-      sample_window_active_ =
-          (sample_tick_ >> sample_burst_log2_) % sample_stride_ ==
-          sample_phase_;
-    ++sample_tick_;
-    if (!sample_window_active_) return 0;
-    ++sample_seen_;
-  } else {
-    // Exact mode tallies every batch as simulated so the realized fraction
-    // stays meaningful across mid-run adjust_sample_stride() transitions.
-    ++sample_tick_;
-    ++sample_seen_;
-  }
-  std::uint64_t misses = 0;
-
-  // Contiguous aligned runs (the kernels' stencil and state batches) take
-  // a closed-form path: when the stride equals the element size and no
-  // element can straddle a line boundary, each covered line holds a
-  // computable element count — touch the line once, then account the
-  // remaining elements as guaranteed hits in one arithmetic step. The
-  // bookkeeping (accesses/hits, one stamp per element, final LRU stamp on
-  // the way, dirty bit) matches the element loop exactly, so counters and
-  // replacement state stay bit-identical; only the per-element walk goes.
-  if (stride_bytes > 0 && static_cast<std::size_t>(stride_bytes) == elem_bytes &&
-      (elem_bytes & (elem_bytes - 1)) == 0 && elem_bytes <= line_bytes_ &&
-      static_cast<std::uint64_t>(addr) % elem_bytes == 0) {
-    const unsigned elem_shift =
-        static_cast<unsigned>(__builtin_ctzll(static_cast<std::uint64_t>(elem_bytes)));
-    const std::uint64_t base = static_cast<std::uint64_t>(addr);
-    const std::uint64_t span = static_cast<std::uint64_t>(count) << elem_shift;
-    const std::uint64_t first = base >> line_shift_;
-    const std::uint64_t last = (base + span - 1) >> line_shift_;
-    const std::uint64_t gen_field = (gen_ & kGenMask) << 1;
-    const std::uint64_t set_mask = sets_ - 1;
-    const unsigned tag_shift = tag_shift_;
-    const std::size_t assoc = assoc_;
-    Way* const ways = ways_.data();
-    const std::uint32_t* const mru = mru_.data();
-    std::uint64_t acc = 0, hit = 0, stamp = stamp_;
-    for (std::uint64_t line = first; line <= last; ++line) {
-      const std::uint64_t line_begin = line << line_shift_;
-      const std::uint64_t lo = line == first ? base : line_begin;
-      const std::uint64_t hi =
-          line == last ? base + span : line_begin + line_bytes_;
-      const std::uint64_t n = (hi - lo) >> elem_shift;
-      const std::uint64_t set = line & set_mask;
-      Way& h = ways[static_cast<std::size_t>(set) * assoc +
-                    mru[static_cast<std::size_t>(set)]];
-      if ((h.meta & ~std::uint64_t{1}) ==
-          ((line >> tag_shift) << kTagShiftInMeta | gen_field)) {
-        acc += n;
-        hit += n;
-        stamp += n;
-        h.lru = stamp;
-        h.meta |= static_cast<std::uint64_t>(is_write);
-      } else {
-        counters_.accesses += acc;
-        counters_.hits += hit;
-        stamp_ = stamp;
-        acc = hit = 0;
-        Way* w = touch_way(line, is_write, misses);
-        stamp = stamp_;
-        if (n > 1) {
-          acc = n - 1;
-          hit = n - 1;
-          stamp += n - 1;
-          w->lru = stamp;
-        }
-      }
-    }
-    counters_.accesses += acc;
-    counters_.hits += hit;
-    stamp_ = stamp;
-    return misses;
-  }
-
-  // Invariant: `cur_way` (when non-null) holds `cur_line`, and no line has
-  // been touched since — so an element confined to `cur_line` is a
-  // *guaranteed* hit and can be accounted without re-walking the set. The
-  // bookkeeping (accesses/hits/stamp/lru/dirty) matches touch_way's hit
-  // path exactly, keeping counters and replacement state bit-identical to
-  // the element-by-element loop.
-  std::uint64_t cur_line = 0;
-  Way* cur_way = nullptr;
-
-  // Hot-loop state stays in registers: geometry is hoisted, and the hit
-  // bookkeeping (access/hit tallies, the LRU stamp) accumulates locally —
-  // flushed to the members once per run and around slow-path calls instead
-  // of once per element. gen_/mru_/ways_ are only mutated by touch_way, so
-  // reads through the hoisted pointers stay coherent.
-  const unsigned line_shift = line_shift_;
-  const std::uint64_t set_mask = sets_ - 1;
-  const unsigned tag_shift = tag_shift_;
-  const std::uint64_t gen_field = (gen_ & kGenMask) << 1;
-  const std::size_t assoc = assoc_;
-  Way* const ways = ways_.data();
-  const std::uint32_t* const mru = mru_.data();
-  std::uint64_t local_stamp = stamp_;
-  std::uint64_t local_acc = 0, local_hit = 0;
-
-  // MRU-hint touch with deferred bookkeeping; misses and hint failures
-  // sync the members and take the shared out-of-line path.
-  auto touch = [&](std::uint64_t line) -> Way* {
-    const std::uint64_t set = line & set_mask;
-    Way& h = ways[static_cast<std::size_t>(set) * assoc +
-                  mru[static_cast<std::size_t>(set)]];
-    if ((h.meta & ~std::uint64_t{1}) ==
-        ((line >> tag_shift) << kTagShiftInMeta | gen_field)) {
-      ++local_acc;
-      ++local_hit;
-      h.lru = ++local_stamp;
-      h.meta |= static_cast<std::uint64_t>(is_write);
-      return &h;
-    }
-    counters_.accesses += local_acc;
-    counters_.hits += local_hit;
-    stamp_ = local_stamp;
-    local_acc = local_hit = 0;
-    Way* w = touch_way(line, is_write, misses);
-    local_stamp = stamp_;
-    return w;
-  };
-
-  // Power-of-two strides (the kernels' contiguous and row-strided runs)
-  // extend guaranteed-hit runs with a shift; the integer division would
-  // otherwise dominate the per-run cost.
-  const auto ustride = static_cast<std::uint64_t>(stride_bytes);
-  const bool stride_pow2 = stride_bytes > 0 && (ustride & (ustride - 1)) == 0;
-  unsigned stride_shift = 0;
-  for (std::uint64_t s = ustride; stride_pow2 && s > 1; s >>= 1) ++stride_shift;
-
-  std::size_t k = 0;
-  while (k < count) {
-    const std::uint64_t a =
-        static_cast<std::uint64_t>(addr) +
-        static_cast<std::uint64_t>(static_cast<std::int64_t>(k) * stride_bytes);
-    const std::uint64_t first = a >> line_shift;
-    const std::uint64_t last = (a + elem_bytes - 1) >> line_shift;
-
-    if (first == last) {
-      if (cur_way != nullptr && first == cur_line) {
-        // Guaranteed hit; extend over every following element that provably
-        // stays inside this line (run-length batching).
-        std::size_t run = 1;
-        if (stride_bytes > 0) {
-          const std::uint64_t line_end = (first + 1) << line_shift;
-          const std::uint64_t room = line_end - (a + elem_bytes);
-          const std::uint64_t ext = stride_pow2 ? room >> stride_shift : room / ustride;
-          run += static_cast<std::size_t>(std::min<std::uint64_t>(count - k - 1, ext));
-        } else if (stride_bytes == 0) {
-          run = count - k;
-        }
-        local_acc += run;
-        local_hit += run;
-        local_stamp += run;
-        cur_way->lru = local_stamp;
-        cur_way->meta |= static_cast<std::uint64_t>(is_write);
-        k += run;
-        continue;
-      }
-      cur_way = touch(first);
-      cur_line = first;
-      ++k;
-      continue;
-    }
-
-    // Element straddles line boundaries: touch every covered line in the
-    // scalar order (first line may still be the guaranteed-hit line).
-    for (std::uint64_t line = first; line <= last; ++line) {
-      if (cur_way != nullptr && line == cur_line) {
-        ++local_acc;
-        ++local_hit;
-        cur_way->lru = ++local_stamp;
-        cur_way->meta |= static_cast<std::uint64_t>(is_write);
-      } else {
-        cur_way = touch(line);
-        cur_line = line;
-      }
-    }
-    ++k;
-  }
-  counters_.accesses += local_acc;
-  counters_.hits += local_hit;
-  stamp_ = local_stamp;
-  return misses;
+  // here and tallies every batch as simulated, so the realized fraction
+  // stays meaningful across mid-run adjust_sample_stride() transitions.
+  // The steady-state skip path is an increment and two predictable
+  // branches, cheap enough to leave on in the traced production path.
+  const bool skip = sample_stride_ > 1 && !window_active();
+  ++sample_tick_;
+  if (skip) return 0;
+  ++sample_seen_;
+  if (assoc_ == 4) return run<4>(addr, stride_bytes, count, elem_bytes, is_write);
+  if (assoc_ == 8) return run<8>(addr, stride_bytes, count, elem_bytes, is_write);
+  return run_any(addr, stride_bytes, count, elem_bytes, is_write);
 }
 
 /// Builds the paper's testbed memory hierarchy: 8 kB L1D feeding the

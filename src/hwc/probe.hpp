@@ -14,8 +14,8 @@
 // Probes expose both scalar hooks (load/store, one element each) and
 // batched run hooks (load_run/store_run, a whole strided run per call).
 // CacheProbe routes runs through CacheSim::access_run, which amortizes the
-// per-element simulation cost over the run (touch each line once, MRU way
-// hint) while producing counters bit-identical to calling CacheSim::access
+// per-element simulation cost over the run (one set lookup per line
+// touched) while producing counters bit-identical to calling CacheSim::access
 // once per element (tests/hwc/test_access_run.cpp holds the two together).
 
 #include <cstdint>
@@ -61,14 +61,16 @@ class CacheProbe {
     cache_->access(reinterpret_cast<std::uintptr_t>(p), bytes, true);
   }
   /// Batched: `count` loads of `elem_bytes`, the k-th at p + k*stride_bytes.
-  void load_run(const void* p, std::ptrdiff_t stride_bytes, std::size_t count,
+  /// Forced inline like CacheSim::access_run: the per-ISA kernel TUs must
+  /// not emit copies that a TU of another ISA could link against.
+  CCAPERF_FORCE_INLINE void load_run(const void* p, std::ptrdiff_t stride_bytes, std::size_t count,
                 std::size_t elem_bytes) {
     counts_.loads += count;
     cache_->access_run(reinterpret_cast<std::uintptr_t>(p), stride_bytes, count,
                        elem_bytes, false);
   }
-  void store_run(const void* p, std::ptrdiff_t stride_bytes, std::size_t count,
-                 std::size_t elem_bytes) {
+  CCAPERF_FORCE_INLINE void store_run(const void* p, std::ptrdiff_t stride_bytes,
+                                      std::size_t count, std::size_t elem_bytes) {
     counts_.stores += count;
     cache_->access_run(reinterpret_cast<std::uintptr_t>(p), stride_bytes, count,
                        elem_bytes, true);

@@ -162,6 +162,27 @@ TEST(CacheSampling, AdjustStrideMatchesSetStrideForFreshSim) {
   EXPECT_DOUBLE_EQ(direct.l1.sample_factor(), adjusted.l1.sample_factor());
 }
 
+TEST(CacheSampling, SetLowerAfterStrideScalesLowerLevel) {
+  // Chaining a lower level after set_sample_stride() must scale it just
+  // like chaining first: it only ever sees the sampled traffic.
+  constexpr unsigned kBurstLog2 = 4;
+  hwc::XeonHierarchy chained_first;
+  chained_first.l1.set_sample_stride(4, /*seed=*/1, kBurstLog2);
+  CacheSim l1(8 * 1024, 64, 4), l2(512 * 1024, 64, 8);
+  l1.set_sample_stride(4, /*seed=*/1, kBurstLog2);
+  l1.set_lower(&l2);
+  run_workload(chained_first.l1, 1 << 20, 48, 3, 256, 8);
+  run_workload(l1, 1 << 20, 48, 3, 256, 8);
+  ASSERT_GT(l1.sample_factor(), 1.0);
+  ASSERT_GT(l2.counters().misses, 0u);
+  EXPECT_GT(l2.scaled_counters().misses, l2.counters().misses);
+  const CacheCounters want = chained_first.l2.scaled_counters();
+  const CacheCounters got = l2.scaled_counters();
+  EXPECT_EQ(got.accesses, want.accesses);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.writebacks, want.writebacks);
+}
+
 TEST(StackDist, MatchesFullyAssociativeLruExactly) {
   // A fully-associative LRU cache of C lines misses exactly the touches
   // with reuse distance >= C (plus colds) — so for EVERY capacity, the
