@@ -25,7 +25,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <sstream>
@@ -33,6 +32,7 @@
 #include "bench_common.hpp"
 #include "core/governor.hpp"
 #include "hwc/cache_sim.hpp"
+#include "support/env.hpp"
 
 namespace {
 
@@ -140,11 +140,8 @@ int main() {
   // EXPERIMENTS.md budget-convergence table is built from such runs); the
   // hard gates and the JSON series only apply at the default 2% point so a
   // 0.5% exploration can't fail CI or poison the baseline.
-  double budget = 2.0;
-  if (const char* e = std::getenv("CCAPERF_OVERHEAD_PCT")) {
-    const double v = std::strtod(e, nullptr);
-    if (v > 0.0) budget = v;
-  }
+  const double budget =
+      ccaperf::env_positive_double("CCAPERF_OVERHEAD_PCT", 2.0);
   const bool gated = budget == 2.0;
 
   std::cout << "Ablation: overhead governor — " << w.shapes.size()

@@ -18,7 +18,6 @@
 //    gated against bench/baselines/hub.json.
 //
 // Environment:
-//   CCAPERF_HUB_SOAK_SESSIONS  top of the session ramp (default 64).
 //   CCAPERF_HUB_AGG_FILE       aggregate JSONL path
 //                              (default bench_out/hub_aggregate.jsonl).
 //
@@ -26,7 +25,6 @@
 // hub-soak stage greps for the marker.
 
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -35,14 +33,9 @@
 #include "bench_common.hpp"
 #include "core/session_workloads.hpp"
 #include "core/telemetry_hub.hpp"
+#include "support/env.hpp"
 
 namespace {
-
-int env_int(const char* name, int fallback, int lo) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::max(lo, std::atoi(v));
-}
 
 /// The scenario rotation: structurally diverse tenants, all deterministic.
 std::vector<core::SessionScenario> scenario_mix() {
@@ -109,11 +102,10 @@ struct Gate {
 }  // namespace
 
 int main() {
-  const int max_sessions = env_int("CCAPERF_HUB_SOAK_SESSIONS", 64, 2);
-  const char* agg_env = std::getenv("CCAPERF_HUB_AGG_FILE");
-  const std::string agg_path = (agg_env != nullptr && *agg_env != '\0')
-                                   ? agg_env
-                                   : "bench_out/hub_aggregate.jsonl";
+  const int max_sessions = 64;  // top of the session ramp
+  const std::string_view agg_env = ccaperf::env_text("CCAPERF_HUB_AGG_FILE");
+  const std::string agg_path =
+      agg_env.empty() ? "bench_out/hub_aggregate.jsonl" : std::string(agg_env);
   const std::vector<core::SessionScenario> mix = scenario_mix();
   Gate gate;
 

@@ -15,12 +15,9 @@
 // within 25% relative error, median within 10%.
 //
 // Results land in bench_out/prediction.json.
-//
-// Environment: CCAPERF_PRED_REPS (default 3) wall-timing repetitions.
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -29,12 +26,6 @@
 #include "core/prediction_harness.hpp"
 
 namespace {
-
-int env_int(const char* name, int fallback, int lo) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::max(lo, std::atoi(v));
-}
 
 /// The tiny case-study hierarchy the holdout tier-1 test also uses,
 /// parameterized by base-grid size over the same physical domain
@@ -72,7 +63,7 @@ struct HeldOutPoint {
 int main() {
   // min-over-reps is the only defense against host-level contention on a
   // single-core box; 6 reps keeps the whole bench around a minute.
-  const int reps = env_int("CCAPERF_PRED_REPS", 6, 1);
+  const int reps = 6;
   const components::AppConfig base_cfg = tiny_config(48, 24);
 
   core::Fig01TrainSpec spec;  // ranks {2,4,8} x threads {1,2}

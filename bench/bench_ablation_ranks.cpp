@@ -30,23 +30,17 @@
 //
 // Results land in bench_out/ranks.json.
 //
-// Environment: CCAPERF_STEPS (default 12), CCAPERF_BENCH_RANKS_MAX
-// (default 256, lowered for smoke runs).
+// Environment: CCAPERF_STEPS (default 12, at least 2).
 
 #include <chrono>
+#include <climits>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "bench_common.hpp"
+#include "support/env.hpp"
 
 namespace {
-
-int env_int(const char* name, int fallback, int lo) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::max(lo, std::atoi(v));
-}
 
 struct StepCost {
   double step_us = 0.0;        ///< wall per step, rank 0
@@ -167,11 +161,9 @@ MicroResult micro_tree(int nranks, int reps) {
 }  // namespace
 
 int main() {
-  const int steps = env_int("CCAPERF_STEPS", 12, 2);
-  const int max_ranks = env_int("CCAPERF_BENCH_RANKS_MAX", 256, 2);
-  std::vector<int> sweep;
-  for (int n : {2, 8, 32, 64, 128, 256})
-    if (n <= max_ranks) sweep.push_back(n);
+  const int steps = static_cast<int>(std::max<std::uint64_t>(
+      2, ccaperf::env_uint("CCAPERF_STEPS", 12, 0, INT_MAX)));
+  const std::vector<int> sweep = {2, 8, 32, 64, 128, 256};
 
   std::cout << "Ablation: fabric rank scaling — fig01-style step loop, "
             << steps << " steps, ranks up to " << sweep.back() << "\n\n";

@@ -1,7 +1,7 @@
 // Ablation: thread-parallel patch execution (DESIGN.md §9).
 //
-// Runs the instrumented fig01 simulation twice in-process — CCAPERF_THREADS=1
-// and CCAPERF_THREADS=N (default 8) — and reports the step-loop scaling plus
+// Runs the instrumented fig01 simulation twice in-process — at 1 lane and at
+// 8 lanes per rank — and reports the step-loop scaling plus
 // the two determinism guarantees the threading design makes:
 //
 //  * physics_equal: the density fields of the serial and threaded runs are
@@ -18,22 +18,18 @@
 //
 // Results land in bench_out/threads.json.
 //
-// Environment: CCAPERF_BENCH_THREADS (default 8), CCAPERF_STEPS (default 8).
+// Environment: CCAPERF_STEPS (default 8).
 
 #include <chrono>
-#include <cstdlib>
+#include <climits>
 #include <thread>
 
 #include "bench_common.hpp"
 #include "components/app_assembly.hpp"
+#include "support/env.hpp"
+#include "support/thread_pool.hpp"
 
 namespace {
-
-int env_int(const char* name, int fallback, int lo) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::max(lo, std::atoi(v));
-}
 
 struct RunResult {
   double step_ms = 0.0;
@@ -43,11 +39,8 @@ struct RunResult {
   double q_sum = 0.0;             ///< summed Q over those rows
 };
 
-/// One single-rank instrumented fig01 run at the given lane count. Each
-/// call spawns a fresh rank thread, so the rank pool re-reads
-/// CCAPERF_THREADS.
+/// One single-rank instrumented fig01 run at the given lane count.
 RunResult run_fig01(int threads, int steps) {
-  setenv("CCAPERF_THREADS", std::to_string(threads).c_str(), 1);
   components::AppConfig cfg = components::AppConfig::case_study();
   cfg.driver.nsteps = steps;
   cfg.driver.regrid_interval = 3;
@@ -55,6 +48,7 @@ RunResult run_fig01(int threads, int steps) {
   RunResult res;
   mpp::Runtime::run(1, mpp::NetworkModel::classic_cluster(),
                     [&](mpp::Comm& world) {
+    ccaperf::set_rank_pool_threads(threads);
     core::InstrumentedApp app = core::assemble_instrumented_app(world, cfg);
     const auto t0 = std::chrono::steady_clock::now();
     app.fw().services("driver").provided_as<components::GoPort>("go")->go();
@@ -139,8 +133,9 @@ bool counted_sweeps_invariant() {
 }  // namespace
 
 int main() {
-  const int threads = env_int("CCAPERF_BENCH_THREADS", 8, 2);
-  const int steps = env_int("CCAPERF_STEPS", 8, 1);
+  const int threads = 8;
+  const int steps = static_cast<int>(std::max<std::uint64_t>(
+      1, ccaperf::env_uint("CCAPERF_STEPS", 8, 0, INT_MAX)));
   const unsigned hw = std::thread::hardware_concurrency();
 
   std::cout << "Ablation: thread-parallel patch execution — fig01 step loop, "

@@ -19,7 +19,7 @@
 // This bench times the States sequential (X) sweep at Q ~ 1e5 under raw
 // (per compiled ISA), batched-exact traced and batched-sampled traced,
 // and records the gated series in
-// bench_out/tracing_fastpath.json. Timing is best-of-5 blocks per
+// bench_out/tracing_fastpath.json. Timing is best-of-15 blocks per
 // configuration with the blocks round-robin interleaved across
 // configurations (the bench_ablation_ranks minimum-of-blocks protocol,
 // plus interleaving so ambient load hits every config alike: contention
@@ -84,7 +84,9 @@ int main() {
   std::cout << "Ablation: tracing fast paths — States sequential sweep, Q = "
             << shape.q << "\n\n";
 
-  const int blocks = 5, reps = 3;
+  // 15 blocks: the gated ratio's raw denominator is a ~3 ms sweep whose
+  // best-of-5 still drifted by 2x between runs on a loaded host.
+  const int blocks = 15, reps = 3;
   constexpr std::uint32_t kSampleStride = 16;
   // Burst 2^13 batches: each active window re-entry starts with the sim's
   // way metadata evicted from the *real* caches, so bigger bursts amortise

@@ -19,28 +19,21 @@
 //     flow-match, so CI can gate on it.
 //   CCAPERF_TRACE_EVENTS           per-rank ring capacity in events.
 
-#include <cstdlib>
+#include <climits>
 #include <fstream>
 
 #include "bench_common.hpp"
 #include "components/app_assembly.hpp"
 #include "core/trace_export.hpp"
-
-namespace {
-
-int env_int(const char* name, int fallback, int lo) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::max(lo, std::atoi(v));
-}
-
-}  // namespace
+#include "support/env.hpp"
 
 int main() {
   const core::TraceEnv trace = core::trace_env();
-  const int ranks = env_int("CCAPERF_RANKS", 3, 1);
+  const int ranks = static_cast<int>(std::max<std::uint64_t>(
+      1, ccaperf::env_uint("CCAPERF_RANKS", 3, 0, INT_MAX)));
   components::AppConfig cfg = components::AppConfig::case_study();
-  cfg.driver.nsteps = env_int("CCAPERF_STEPS", 8, 1);
+  cfg.driver.nsteps = static_cast<int>(std::max<std::uint64_t>(
+      1, ccaperf::env_uint("CCAPERF_STEPS", 8, 0, INT_MAX)));
   cfg.driver.regrid_interval = 3;
 
   struct LevelCensus {

@@ -61,6 +61,30 @@ need_fig01() {
 }
 
 if want tier1; then
+  echo "== environment guard (README knob table) =="
+  # Only src/support/env.cpp reads the process environment; no code outside
+  # tests/ writes it. Every CCAPERF_* name passed to a reader must have a
+  # row in README's knob table, and every row must name a knob that is read.
+  stray=$(grep -rnwE 'getenv|setenv|unsetenv' src bench examples |
+          grep -v '^src/support/env\.cpp:' || true)
+  if [ -n "${stray}" ]; then
+    echo "environment access outside src/support/env.cpp:" >&2
+    echo "${stray}" >&2
+    exit 1
+  fi
+  read_knobs=$(find src bench examples -name '*.[ch]pp' -exec cat {} + |
+               tr -d '\n' |
+               grep -oE 'env_(text|uint|positive_double)\([[:space:]]*"CCAPERF_[A-Z0-9_]+"' |
+               grep -oE 'CCAPERF_[A-Z0-9_]+' | sort -u)
+  table_knobs=$(grep -oE '^\| `CCAPERF_[A-Z0-9_]+` \|' README.md |
+                grep -oE 'CCAPERF_[A-Z0-9_]+' | sort -u)
+  if [ "${read_knobs}" != "${table_knobs}" ]; then
+    echo "README knob table and reader call sites disagree:" >&2
+    diff <(echo "${read_knobs}") <(echo "${table_knobs}") >&2 || true
+    exit 1
+  fi
+  echo "environment guard: $(echo "${read_knobs}" | wc -l) knobs, all in README"
+
   echo "== tier-1 suites (${BUILD_DIR}) =="
   cmake -B "${BUILD_DIR}" -S . >/dev/null
   cmake --build "${BUILD_DIR}" -j "${JOBS}"

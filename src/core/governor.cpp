@@ -2,13 +2,13 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <stdexcept>
 #include <utility>
 
 #include "cca/framework.hpp"
 #include "core/mastermind.hpp"
+#include "support/env.hpp"
 
 namespace core {
 
@@ -18,26 +18,13 @@ namespace core {
 
 GovernorConfig GovernorConfig::from_env() {
   GovernorConfig cfg;
-  const char* pct = std::getenv("CCAPERF_OVERHEAD_PCT");
-  if (pct == nullptr || *pct == '\0') return cfg;  // disabled: byte-identical
-  char* end = nullptr;
-  const double v = std::strtod(pct, &end);
-  if (end == pct || !(v > 0.0)) {
-    throw std::invalid_argument(
-        "CCAPERF_OVERHEAD_PCT must be a positive percentage");
-  }
+  const double v = ccaperf::env_positive_double("CCAPERF_OVERHEAD_PCT", 0.0);
+  if (v == 0.0) return cfg;  // disabled: byte-identical
   cfg.enabled = true;
   cfg.budget_pct = v;
   // Keep the hysteresis band proportional for large budgets but never wider
   // than the default so a 2% budget still means "converged by 2.5%".
   cfg.band_pct = std::min(0.25, v * 0.125) + (v >= 2.0 ? 0.25 : v * 0.125);
-  if (const char* w = std::getenv("CCAPERF_GOVERNOR_WINDOW")) {
-    const long n = std::strtol(w, nullptr, 10);
-    if (n > 0) cfg.window_records = static_cast<std::uint64_t>(n);
-  }
-  if (const char* s = std::getenv("CCAPERF_GOVERNOR_SEED")) {
-    cfg.seed = static_cast<std::uint64_t>(std::strtoull(s, nullptr, 10));
-  }
   return cfg;
 }
 

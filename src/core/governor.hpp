@@ -56,8 +56,7 @@ struct GovernorConfig {
   int calm_windows = 2;    ///< consecutive calm windows before relaxing
   std::uint64_t seed = 0;  ///< phase of the deterministic 1-in-N samplers
 
-  /// Reads CCAPERF_OVERHEAD_PCT (unset/empty -> disabled; <= 0 raises),
-  /// plus the optional CCAPERF_GOVERNOR_WINDOW and CCAPERF_GOVERNOR_SEED.
+  /// Reads CCAPERF_OVERHEAD_PCT (unset/empty -> disabled).
   static GovernorConfig from_env();
 };
 

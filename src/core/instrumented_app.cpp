@@ -1,12 +1,13 @@
 #include "core/instrumented_app.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "core/trace_export.hpp"
 #include "hwc/cache_sim.hpp"
+#include "support/env.hpp"
 
 namespace core {
 
@@ -118,9 +119,8 @@ InstrumentedApp assemble_instrumented_app(mpp::Comm& world,
   // NUMERICS (EFM and Godunov fluxes differ), which is why the QoS
   // trade-off needs its own opt-in and is never implied by the
   // observability budget alone.
-  const char* refit_env = std::getenv("CCAPERF_REFIT");
-  if (refit_env != nullptr && *refit_env != '\0' &&
-      std::string(refit_env) != "0") {
+  const std::string_view refit = ccaperf::env_text("CCAPERF_REFIT");
+  if (!refit.empty() && refit != "0") {
     const std::string flux_key = cfg.flux_impl == "EFMFlux"
                                      ? "efm_proxy::compute()"
                                      : "g_proxy::compute()";

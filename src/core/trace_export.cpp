@@ -1,12 +1,11 @@
 #include "core/trace_export.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
 #include <map>
 #include <ostream>
 #include <tuple>
 
+#include "support/env.hpp"
 #include "support/json.hpp"
 
 namespace core {
@@ -228,40 +227,15 @@ MergeStats TraceMerger::write_chrome_trace(std::ostream& os) const {
   return stats;
 }
 
-namespace {
-
-/// CCAPERF_TRACE_EVENTS: a plain decimal count in 1..kMaxCapacity — no
-/// sign, whitespace, suffix or empty value — so a typo fails at startup
-/// instead of silently resizing (or overflowing) the ring.
-std::size_t parse_trace_events(const std::string& v) {
-  constexpr std::size_t kMax = tau::TraceBuffer::kMaxCapacity;
-  const auto reject = [&](const char* why) {
-    ccaperf::raise("CCAPERF_TRACE_EVENTS=\"" + v + "\": " + why +
-                   " (expected a decimal event count in 1.." +
-                   std::to_string(kMax) + ")");
-  };
-  std::uint64_t n = 0;
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, n);
-  if (ec == std::errc::result_out_of_range || (ec == std::errc{} && n > kMax))
-    reject("ring size overflows size_t");
-  if (ec != std::errc{} || ptr != end) reject("not a decimal event count");
-  if (n == 0) reject("the ring needs at least one event");
-  return static_cast<std::size_t>(n);
-}
-
-}  // namespace
-
 TraceEnv trace_env() {
   TraceEnv env;
-  const char* v = std::getenv("CCAPERF_TRACE");
-  if (v == nullptr) return env;
-  const std::string s(v);
+  const std::string_view s = ccaperf::env_text("CCAPERF_TRACE");
   if (s.empty() || s == "0" || s == "off" || s == "false") return env;
   env.enabled = true;
   if (s != "1" && s != "on" && s != "true") env.path = s;
-  if (const char* cap = std::getenv("CCAPERF_TRACE_EVENTS"))
-    env.capacity = parse_trace_events(cap);
+  env.capacity = static_cast<std::size_t>(
+      ccaperf::env_uint("CCAPERF_TRACE_EVENTS", env.capacity, 1,
+                        tau::TraceBuffer::kMaxCapacity));
   return env;
 }
 

@@ -88,9 +88,10 @@ class TraceMerger {
 ///                       the default path; anything else enables and names
 ///                       the output file.
 ///   CCAPERF_TRACE_EVENTS  ring capacity in events: a decimal count in
-///                       1..tau::TraceBuffer::kMaxCapacity; anything else
-///                       (empty, 0, signs, suffixes, overflow) throws
-///                       ccaperf::Error naming the variable.
+///                       1..tau::TraceBuffer::kMaxCapacity (unset/"" keep
+///                       the default); anything else (0, signs, suffixes,
+///                       overflow) throws ccaperf::Error naming the
+///                       variable.
 struct TraceEnv {
   bool enabled = false;
   std::string path = "trace.json";

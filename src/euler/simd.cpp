@@ -1,9 +1,10 @@
 #include "euler/simd.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <string>
+#include <string_view>
 
+#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace euler::simd {
@@ -56,11 +57,12 @@ Isa clamp_supported(Isa want) {
 
 Isa env_isa() {
   Isa want = Isa::avx512;  // "native": highest level we know about
-  if (const char* env = std::getenv("CCAPERF_SIMD")) {
+  const std::string_view env = ccaperf::env_text("CCAPERF_SIMD");
+  if (!env.empty()) {
     bool native = false;
     Isa parsed = Isa::scalar;
     CCAPERF_REQUIRE(parse_isa(env, parsed, native),
-                    std::string("CCAPERF_SIMD: unknown ISA level '") + env +
+                    "CCAPERF_SIMD: unknown ISA level '" + std::string(env) +
                         "' (want scalar|avx2|avx512|native)");
     if (!native) want = parsed;
   }

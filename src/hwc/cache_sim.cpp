@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
+
+#include "support/env.hpp"
 
 namespace hwc {
 
@@ -193,15 +194,8 @@ std::uint32_t governor_sample_stride() {
 }
 
 std::uint32_t env_sample_stride() {
-  std::uint32_t stride = 1;
-  const char* env = std::getenv("CCAPERF_CACHESIM_SAMPLE");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    CCAPERF_REQUIRE(end != nullptr && *end == '\0' && v >= 1 && v <= (1 << 20),
-                    "CCAPERF_CACHESIM_SAMPLE: want an integer stride in [1, 2^20]");
-    stride = static_cast<std::uint32_t>(v);
-  }
+  const auto stride = static_cast<std::uint32_t>(
+      ccaperf::env_uint("CCAPERF_CACHESIM_SAMPLE", 1, 1, 1 << 20));
   return std::max(stride, governor_sample_stride());
 }
 

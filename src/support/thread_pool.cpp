@@ -1,9 +1,9 @@
 #include "support/thread_pool.hpp"
 
-#include <cstdlib>
 #include <algorithm>
 #include <memory>
 
+#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace ccaperf {
@@ -190,10 +190,8 @@ void ThreadPool::parallel_for(
 }
 
 int configured_threads() {
-  const char* v = std::getenv("CCAPERF_THREADS");
-  if (v == nullptr || *v == '\0') return 1;
-  const int n = std::atoi(v);
-  return std::max(1, std::min(n, 256));
+  const std::uint64_t n = env_uint("CCAPERF_THREADS", 1, 0, UINT64_MAX);
+  return static_cast<int>(std::clamp<std::uint64_t>(n, 1, 256));
 }
 
 namespace {

@@ -105,9 +105,7 @@ class ThreadPool {
   std::atomic<std::uint64_t> steals_{0};
 };
 
-/// Lane count requested via CCAPERF_THREADS (clamped to [1, 256]);
-/// 1 when unset. Read from the environment on every call so a bench can
-/// setenv() between runs.
+/// Lane count requested via CCAPERF_THREADS, clamped to [1, 256].
 int configured_threads();
 
 /// The calling thread's rank-local pool, created on first use with

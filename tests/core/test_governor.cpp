@@ -15,6 +15,7 @@
 #include "core/mastermind.hpp"
 #include "core/proxies.hpp"
 #include "core/tau_component.hpp"
+#include "support/error.hpp"
 #include "support/thread_pool.hpp"
 
 namespace {
@@ -79,9 +80,9 @@ TEST(Governor, EnvBudgetParsedAndValidated) {
   EXPECT_LE(cfg.budget_pct + cfg.band_pct, 2.5 + 1e-12);
 
   setenv("CCAPERF_OVERHEAD_PCT", "-1", 1);
-  EXPECT_THROW(core::GovernorConfig::from_env(), std::invalid_argument);
+  EXPECT_THROW(core::GovernorConfig::from_env(), ccaperf::Error);
   setenv("CCAPERF_OVERHEAD_PCT", "bogus", 1);
-  EXPECT_THROW(core::GovernorConfig::from_env(), std::invalid_argument);
+  EXPECT_THROW(core::GovernorConfig::from_env(), ccaperf::Error);
   unsetenv("CCAPERF_OVERHEAD_PCT");
 }
 

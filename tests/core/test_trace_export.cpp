@@ -320,7 +320,7 @@ TEST(TraceExport, TraceEventsRejectsMalformedCounts) {
       std::to_string(static_cast<unsigned long long>(
           tau::TraceBuffer::kMaxCapacity) + 1);
   for (const std::string bad :
-       {"0", "abc", "64k", "-1", "", " 8", "+8", "8 ", too_big.c_str(),
+       {"0", "abc", "64k", "-1", " 8", "+8", "8 ", too_big.c_str(),
         "99999999999999999999999"}) {
     ::setenv("CCAPERF_TRACE_EVENTS", bad.c_str(), 1);
     try {
@@ -334,6 +334,9 @@ TEST(TraceExport, TraceEventsRejectsMalformedCounts) {
   }
   ::setenv("CCAPERF_TRACE_EVENTS", "1", 1);
   EXPECT_EQ(core::trace_env().capacity, 1u);
+  // Empty means unset, as for every knob: the default ring.
+  ::setenv("CCAPERF_TRACE_EVENTS", "", 1);
+  EXPECT_EQ(core::trace_env().capacity, tau::TraceBuffer::kDefaultCapacity);
   ::unsetenv("CCAPERF_TRACE");
   ::unsetenv("CCAPERF_TRACE_EVENTS");
 }

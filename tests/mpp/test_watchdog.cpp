@@ -54,14 +54,19 @@ TEST(Watchdog, HealthyRunUnaffected) {
   });
 }
 
-TEST(Watchdog, ZeroAndGarbageValuesDisableIt) {
-  {
-    WatchdogEnv env("0");
+TEST(Watchdog, ZeroAndEmptyDisableItAndGarbageRaises) {
+  for (const char* off : {"0", ""}) {
+    WatchdogEnv env(off);
     mpp::Runtime::run(2, [](mpp::Comm& world) { world.barrier(); });
   }
-  {
-    WatchdogEnv env("not-a-number");
+  WatchdogEnv env("not-a-number");
+  try {
     mpp::Runtime::run(2, [](mpp::Comm& world) { world.barrier(); });
+    ADD_FAILURE() << "accepted CCAPERF_WATCHDOG_SECONDS=not-a-number";
+  } catch (const ccaperf::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("CCAPERF_WATCHDOG_SECONDS"),
+              std::string::npos)
+        << e.what();
   }
 }
 
