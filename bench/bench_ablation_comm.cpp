@@ -5,7 +5,8 @@
 // This bench isolates the exchange: ghost-update wall time vs (a) the
 // network model (none / latency-only / the classic-cluster model with
 // jitter) and (b) the patch count per rank (message fan-out). It also
-// counts the messages and bytes one update moves — a deterministic series
+// counts the messages and bytes one update moves, and those of one
+// coarse->fine ghost prolongation — a deterministic series
 // (the decomposition is a pure function of the mesh) that
 // scripts/bench_gate.py gates via bench/baselines/comm.json, so a change
 // that silently multiplies ghost traffic fails CI even on a noisy runner.
@@ -79,6 +80,36 @@ std::pair<std::uint64_t, std::uint64_t> exchange_traffic(int tiles_per_side) {
   return {msgs.load(), bytes.load()};
 }
 
+/// Messages and payload bytes one coarse->fine ghost prolongation moves
+/// across all 3 ranks: a 64 x 64 base in 16 x 16 tiles, one refined level
+/// over a centred 24 x 24 blob split into patches at most 16 coarse cells
+/// wide. Deterministic like exchange_traffic (gated series).
+std::pair<std::uint64_t, std::uint64_t> prolong_traffic() {
+  std::atomic<std::uint64_t> msgs{0}, bytes{0};
+  mpp::Runtime::run(3, [&](mpp::Comm& world) {
+    amr::HierarchyConfig cfg;
+    cfg.domain = amr::Box{0, 0, 63, 63};
+    cfg.max_levels = 2;
+    cfg.ncomp = euler::kNcomp;
+    cfg.level0_patch_size = 16;
+    cfg.cluster = amr::ClusterParams{0.8, 4, 16};
+    cfg.geom = amr::Geometry{0.0, 0.0, 1.0 / 64, 1.0 / 64};
+    amr::Hierarchy h(world, cfg);
+    h.init_level0();
+    for (auto& [id, data] : h.level(0).local_data()) data.fill(1.0);
+    h.regrid([](const amr::Hierarchy&, int, const amr::PatchInfo& p,
+                amr::FlagField& flags) {
+      flags.set_box(amr::Box{20, 20, 43, 43} & p.box);
+    });
+    SendCounter sc;
+    mpp::HooksInstaller install(&sc);
+    h.prolong(1, /*ghosts_only=*/true);
+    msgs += sc.msgs;
+    bytes += sc.bytes;
+  });
+  return {msgs.load(), bytes.load()};
+}
+
 }  // namespace
 
 int main() {
@@ -114,6 +145,13 @@ int main() {
     json.push_back({"ghost_update", "classic_us" + suffix, us[2]});
   }
   t.render(std::cout);
+  const auto [prolong_msgs, prolong_bytes] = prolong_traffic();
+  std::cout << "\nghost prolongation (3 ranks, 2 levels): " << prolong_msgs
+            << " msgs, " << prolong_bytes << " bytes\n";
+  json.push_back({"ghost_prolong", "prolong_msgs",
+                  static_cast<double>(prolong_msgs)});
+  json.push_back({"ghost_prolong", "prolong_bytes",
+                  static_cast<double>(prolong_bytes)});
   bench::write_bench_json("bench_out/comm.json", json);
 
   bench::print_comparison(

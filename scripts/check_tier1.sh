@@ -406,7 +406,7 @@ if want tsan; then
   "${TSAN_DIR}/tests/mpp/test_mpp" \
     --gtest_filter='FaultInjection.*:Recovery.*:*TreeCollectivesAtScale.*:DedupeAtScale.*'
   "${TSAN_DIR}/tests/amr/test_amr" \
-    --gtest_filter='ExchangeFaults.*:*DistributedBalance*'
+    --gtest_filter='ExchangeFaults.*:*DistributedBalance*:*ProlongExactness*'
   "${TSAN_DIR}/tests/support/test_support" \
     --gtest_filter='ThreadPool.*:ServiceThread.*'
   "${TSAN_DIR}/tests/core/test_core" \
@@ -426,13 +426,16 @@ if want asan; then
   # phi).
   # test_hwc CacheExactness: the cache simulator's flat way arrays against
   # its reference copy, across geometries, flush wraps and sampling.
+  # test_amr ProlongExactness: the coarse donor gather and the slope-row
+  # interpolation against their reference copy.
   cmake --build "${ASAN_DIR}" -j "${JOBS}" \
-    --target test_tau test_core test_lu_workload test_euler test_hwc
+    --target test_tau test_core test_lu_workload test_euler test_hwc test_amr
   "${ASAN_DIR}/tests/tau/test_tau"
   "${ASAN_DIR}/tests/core/test_core"
   "${ASAN_DIR}/tests/components/test_lu_workload"
   "${ASAN_DIR}/tests/euler/test_euler" --gtest_filter='Riemann*'
   "${ASAN_DIR}/tests/hwc/test_hwc" --gtest_filter='CacheExactness.*'
+  "${ASAN_DIR}/tests/amr/test_amr" --gtest_filter='*ProlongExactness*'
 fi
 
 echo "stages [${STAGES}]: OK"

@@ -22,6 +22,29 @@ int ipow(int base, int exp) {
   return v;
 }
 
+/// The coarse cells a fine patch's prolongation reads, as disjoint pieces
+/// of its coarse footprint `halo` (DESIGN.md §6, "Coarse donor gather").
+/// Filling the interior reads the whole footprint. Filling only the ghosts
+/// reads each ghost cell's parent and that parent's slope neighbours. The
+/// parents are the footprint minus `covered`, the coarse cells whose
+/// r x r children are all interior (the coarsened box itself when the
+/// fine box is r-aligned). A covered cell is read only as the slope
+/// neighbour of an adjacent parent whose outer neighbour is in the
+/// footprint too, so only on a side where the footprint reaches two or
+/// more cells past `covered`. The rest of the footprint is never read.
+std::vector<Box> coarse_donor_pieces(const Box& fine_box, const Box& halo,
+                                     int r, bool ghosts_only) {
+  if (!ghosts_only) return {halo};
+  const IntVect lo = fine_box.lo(), hi = fine_box.hi();
+  const IntVect clo{-floor_div(-lo.i, r), -floor_div(-lo.j, r)};
+  const IntVect chi{floor_div(hi.i + 1, r) - 1, floor_div(hi.j + 1, r) - 1};
+  const Box unread{clo.i + (clo.i - halo.lo().i >= 2 ? 1 : 0),
+                   clo.j + (clo.j - halo.lo().j >= 2 ? 1 : 0),
+                   chi.i - (halo.hi().i - chi.i >= 2 ? 1 : 0),
+                   chi.j - (halo.hi().j - chi.j >= 2 ? 1 : 0)};
+  return box_subtract(halo, unread);
+}
+
 }  // namespace
 
 Hierarchy::Hierarchy(mpp::Comm& world, HierarchyConfig cfg)
@@ -113,24 +136,25 @@ ExchangeStats Hierarchy::exchange_and_bc(int l, const BcSpec& bc) {
   return stats;
 }
 
-std::map<int, PatchData<double>> Hierarchy::gather_coarse_halos(const Level& coarse,
-                                                                const Level& fine) {
+ExchangeStats Hierarchy::gather_coarse_halos(
+    const Level& coarse, const Level& fine, bool ghosts_only,
+    std::map<int, PatchData<double>>& halos) {
   const int r = cfg_.ratio;
   const Box cdom = coarse.domain();
 
-  // Identical synthetic destination set on every rank: one halo patch per
-  // fine patch, on coarse index space, owned by the fine patch's owner.
-  std::vector<PatchInfo> halos_meta;
-  halos_meta.reserve(fine.patches().size());
+  // Identical synthetic destination set on every rank: the donor pieces of
+  // each fine patch, on coarse index space, all carrying the fine patch's
+  // id and owner. Each local halo buffer spans the whole footprint, so the
+  // interpolation's slope guards see the same box either way.
+  std::vector<PatchInfo> pieces_meta;
+  pieces_meta.reserve(fine.patches().size());
   for (const PatchInfo& f : fine.patches()) {
     const Box halo = f.box.grown(cfg_.nghost).coarsened(r) & cdom;
-    halos_meta.push_back(PatchInfo{f.id, halo, f.owner});
-  }
-
-  std::map<int, PatchData<double>> halos;
-  for (const PatchInfo& h : halos_meta) {
-    if (h.owner != rank() || h.box.empty()) continue;
-    halos.emplace(h.id, PatchData<double>(h.box, 0, cfg_.ncomp, 0.0));
+    if (halo.empty()) continue;
+    for (const Box& piece : coarse_donor_pieces(f.box, halo, r, ghosts_only))
+      pieces_meta.push_back(PatchInfo{f.id, piece, f.owner});
+    if (f.owner == rank())
+      halos.emplace(f.id, PatchData<double>(halo, 0, cfg_.ncomp, 0.0));
   }
 
   auto src = [&coarse](int id) -> const PatchData<double>* {
@@ -140,48 +164,78 @@ std::map<int, PatchData<double>> Hierarchy::gather_coarse_halos(const Level& coa
     auto it = halos.find(id);
     return it == halos.end() ? nullptr : &it->second;
   };
-  exchange_copy(comm_, coarse.patches(), src, halos_meta, dst,
-                [](const PatchInfo& p) { return p.box; },
-                /*skip_same_id=*/false, next_tag(1));
-  return halos;
+  return exchange_copy(comm_, coarse.patches(), src, pieces_meta, dst,
+                       [](const PatchInfo& p) { return p.box; },
+                       /*skip_same_id=*/false, next_tag(1));
 }
 
 void Hierarchy::interpolate_patch(const PatchData<double>& coarse_halo,
                                   PatchData<double>& fine, const Box& target,
                                   int ratio) {
   const Box h = coarse_halo.interior();
-  const int ncomp = fine.ncomp();
-  for (int c = 0; c < ncomp; ++c) {
-    for (int j = target.lo().j; j <= target.hi().j; ++j) {
-      const int J = floor_div(j, ratio);
-      for (int i = target.lo().i; i <= target.hi().i; ++i) {
-        const int I = floor_div(i, ratio);
-        if (!h.contains(IntVect{I, J})) continue;  // outside domain: BC later
-        const double center = coarse_halo(I, J, c);
-        double sx = 0.0, sy = 0.0;
-        if (h.contains(IntVect{I - 1, J}) && h.contains(IntVect{I + 1, J}))
-          sx = minmod(coarse_halo(I + 1, J, c) - center,
-                      center - coarse_halo(I - 1, J, c));
-        if (h.contains(IntVect{I, J - 1}) && h.contains(IntVect{I, J + 1}))
-          sy = minmod(coarse_halo(I, J + 1, c) - center,
-                      center - coarse_halo(I, J - 1, c));
-        // Sub-cell offset of the fine cell center within the coarse cell,
-        // in coarse-cell units, in [-0.5, 0.5).
-        const double fx =
-            (static_cast<double>(i - I * ratio) + 0.5) / ratio - 0.5;
-        const double fy =
-            (static_cast<double>(j - J * ratio) + 0.5) / ratio - 0.5;
-        fine(i, j, c) = center + sx * fx + sy * fy;
+  // Coarse parents of the target. Fine cells whose parent lies outside the
+  // halo (outside the domain) are left for the physical BC.
+  const Box parents = target.coarsened(ratio) & h;
+  if (parents.empty()) return;
+  const int I0 = parents.lo().i, I1 = parents.hi().i;
+  const int w = parents.width();
+  const int i0 = std::max(target.lo().i, I0 * ratio);
+  const int i1 = std::min(target.hi().i, I1 * ratio + ratio - 1);
+
+  // Sub-cell offset of a fine cell center within its coarse cell, in
+  // coarse-cell units, in [-0.5, 0.5), by position k = i - I * ratio.
+  std::vector<double> offset(static_cast<std::size_t>(ratio));
+  for (int k = 0; k < ratio; ++k)
+    offset[static_cast<std::size_t>(k)] =
+        (static_cast<double>(k) + 0.5) / ratio - 0.5;
+  // One coarse row's centers and limited slopes, computed once per coarse
+  // cell and read by all of its fine children.
+  std::vector<double> row(3 * static_cast<std::size_t>(w));
+  double* center = row.data();
+  double* sx = center + w;
+  double* sy = sx + w;
+
+  for (int c = 0; c < fine.ncomp(); ++c) {
+    for (int J = parents.lo().j; J <= parents.hi().j; ++J) {
+      const bool y_slope = J > h.lo().j && J < h.hi().j;
+      for (int I = I0; I <= I1; ++I) {
+        const double ctr = coarse_halo(I, J, c);
+        center[I - I0] = ctr;
+        sx[I - I0] = I > h.lo().i && I < h.hi().i
+                         ? minmod(coarse_halo(I + 1, J, c) - ctr,
+                                  ctr - coarse_halo(I - 1, J, c))
+                         : 0.0;
+        sy[I - I0] = y_slope ? minmod(coarse_halo(I, J + 1, c) - ctr,
+                                      ctr - coarse_halo(I, J - 1, c))
+                             : 0.0;
+      }
+      const int j0 = std::max(target.lo().j, J * ratio);
+      const int j1 = std::min(target.hi().j, J * ratio + ratio - 1);
+      for (int j = j0; j <= j1; ++j) {
+        const double fy = offset[static_cast<std::size_t>(j - J * ratio)];
+        double* out = &fine(i0, j, c);
+        int m = 0;                // parent column I - I0
+        int k = i0 - I0 * ratio;  // position within the parent
+        for (int i = i0; i <= i1; ++i) {
+          const double fx = offset[static_cast<std::size_t>(k)];
+          out[i - i0] = center[m] + sx[m] * fx + sy[m] * fy;
+          if (++k == ratio) {
+            k = 0;
+            ++m;
+          }
+        }
       }
     }
   }
 }
 
-void Hierarchy::prolong(int fine_l, bool ghosts_only) {
+ExchangeStats Hierarchy::prolong(int fine_l, bool ghosts_only) {
   CCAPERF_REQUIRE(fine_l >= 1 && fine_l < num_levels(), "prolong: bad level");
   Level& fine = level(fine_l);
   const Level& coarse = level(fine_l - 1);
-  auto halos = gather_coarse_halos(coarse, fine);
+  std::map<int, PatchData<double>> halos;
+  const ExchangeStats stats =
+      gather_coarse_halos(coarse, fine, ghosts_only, halos);
 
   const Box fdom = domain_at(fine_l);
   // Interpolation after the halo gather is patch-local: parallel over the
@@ -208,6 +262,7 @@ void Hierarchy::prolong(int fine_l, bool ghosts_only) {
       interpolate_patch(*job.halo, *job.data, job.info->box, cfg_.ratio);
     }
   });
+  return stats;
 }
 
 void Hierarchy::restrict_level(int fine_l) {
@@ -338,7 +393,8 @@ void Hierarchy::regrid(const FlagFn& flag_fn, const BcSpec& bc) {
     // 6. Fill new patch interiors: prolong from level l, then overwrite
     // with old level l+1 data where it existed (exact values win).
     {
-      auto halos = gather_coarse_halos(cur, fresh);
+      std::map<int, PatchData<double>> halos;
+      gather_coarse_halos(cur, fresh, /*ghosts_only=*/false, halos);
       std::vector<std::pair<const PatchData<double>*, const PatchInfo*>> jobs;
       for (const PatchInfo& f : fresh.patches()) {
         if (f.owner != rank()) continue;

@@ -96,7 +96,8 @@ class Hierarchy {
 
   /// Coarse->fine fill. `ghosts_only`: fill only ghost cells (normal
   /// stepping); otherwise fill interiors too (new patches after regrid).
-  void prolong(int fine_l, bool ghosts_only);
+  /// Returns the stats of the coarse donor gather.
+  ExchangeStats prolong(int fine_l, bool ghosts_only);
 
   /// Conservative average of level `fine_l` onto level `fine_l - 1`.
   void restrict_level(int fine_l);
@@ -125,10 +126,13 @@ class Hierarchy {
 
  private:
   void allocate_local(Level& lvl);
-  /// Gathers coarse donor data under the (grown) footprint of each fine
-  /// patch into per-patch halo buffers; returns halos for local patches.
-  std::map<int, PatchData<double>> gather_coarse_halos(const Level& coarse,
-                                                       const Level& fine);
+  /// Gathers coarse donor data into one halo buffer per local fine patch,
+  /// on the patch's coarsened grown footprint. `ghosts_only` ships only
+  /// the ring that ghost interpolation reads (see coarse_donor_pieces);
+  /// otherwise the whole footprint. Unshipped halo cells stay zero.
+  ExchangeStats gather_coarse_halos(const Level& coarse, const Level& fine,
+                                    bool ghosts_only,
+                                    std::map<int, PatchData<double>>& halos);
   static void interpolate_patch(const PatchData<double>& coarse_halo,
                                 PatchData<double>& fine, const Box& target,
                                 int ratio);
